@@ -21,7 +21,6 @@ import (
 	"diffreg/internal/prec"
 	"diffreg/internal/regopt"
 	"diffreg/internal/spectral"
-	"diffreg/internal/transport"
 )
 
 // Config selects the problem formulation and solver parameters.
@@ -360,7 +359,7 @@ func Register(pe *grid.Pencil, rhoT, rhoR *field.Scalar, cfg Config) (*Outcome, 
 	t0 := time.Now()
 
 	out := &Outcome{Problem: pr, Ops: ops}
-	ts := transport.NewSolver(ops, cfg.Opt.Nt)
+	ts := pr.TS
 	if cfg.Intervals > 1 {
 		sp, err := regopt.NewSeries(pr, cfg.Intervals)
 		if err != nil {
@@ -428,8 +427,7 @@ func Register(pe *grid.Pencil, rhoT, rhoR *field.Scalar, cfg Config) (*Outcome, 
 		// Map reconstruction needs a usable velocity; an interrupted or
 		// failed solve skips it (the caller gets the iterate itself).
 		if !cfg.SkipMap && !res.Interrupted && !res.Failed {
-			ctx := ts.NewContext(res.V, cfg.Opt.Incompressible)
-			out.U = ts.Displacement(ctx)
+			out.U = ts.Displacement(pr.Context(res.V))
 		}
 	}
 	out.CheckpointErr = ckptErr

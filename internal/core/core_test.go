@@ -394,3 +394,30 @@ func TestRegisterResumeHonorsCheckpointBeta(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInterpSweepsMatchClosedForm asserts the whole solve's interpolation
+// sweeps against the count the callbacks predict (non-solenoidal,
+// Gauss-Newton): E objective evaluations at 3+nt (forward plan, state
+// solve), G gradients at 3+1+nt (adjoint plan, div v, adjoint solve), M
+// Hessian matvecs at 3nt, and an epilogue of 3+3nt+1 — v at the departure
+// points, the displacement solve and the warp, with no plan rebuilt between
+// the optimizer's return and the displacement's own sweeps because the
+// accepted iterate's context is inherited. First instalment of the model
+// as a tested prediction (ROADMAP 1d).
+func TestInterpSweepsMatchClosedForm(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		cfg := DefaultConfig()
+		runSynthetic(t, 32, p, cfg, func(pe *grid.Pencil, out *Outcome) error {
+			if !out.Result.Converged {
+				t.Errorf("p=%d: solver did not converge", p)
+			}
+			nt := int64(cfg.Opt.Nt)
+			e, g, m := int64(out.Problem.StateSolves), int64(out.Problem.AdjointSolves), int64(out.Problem.Matvecs)
+			want := e*(3+nt) + g*(3+1+nt) + m*3*nt + (3 + 3*nt + 1)
+			if got := out.Counts.InterpSweeps; got != want {
+				t.Errorf("p=%d: %d interpolation sweeps, closed form %d (E=%d G=%d M=%d nt=%d)", p, got, want, e, g, m, nt)
+			}
+			return nil
+		})
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"diffreg/internal/pfft"
 	"diffreg/internal/regopt"
 	"diffreg/internal/spectral"
-	"diffreg/internal/transport"
 )
 
 // BatchInfo reports the scheduling shape of one fused solve on this rank.
@@ -63,7 +62,6 @@ func RegisterBatch(base *mpi.Comm, exec *spectral.Ops, pes []*grid.Pencil, rhoTs
 
 	outs := make([]*Outcome, nb)
 	prs := make([]*regopt.Problem, nb)
-	tss := make([]*transport.Solver, nb)
 	newtons := make([]optim.NewtonOptions, nb)
 	for j := range cfgs {
 		cfg := &cfgs[j]
@@ -98,7 +96,6 @@ func RegisterBatch(base *mpi.Comm, exec *spectral.Ops, pes []*grid.Pencil, rhoTs
 			return nil, BatchInfo{}, fmt.Errorf("core: job %d: %w", j, err)
 		}
 		prs[j] = pr
-		tss[j] = transport.NewSolver(ops, cfg.Opt.Nt)
 		outs[j] = &Outcome{Problem: pr, Ops: ops}
 		newtons[j] = cfg.Newton
 	}
@@ -126,8 +123,8 @@ func RegisterBatch(base *mpi.Comm, exec *spectral.Ops, pes []*grid.Pencil, rhoTs
 		// lock-stepped calls with matching precision and field count ride
 		// one fused halo exchange and Alltoallv on exec's pencil;
 		// desynchronized calls fall back to their solo exchange inside
-		// their release window. (The epilogue solvers tss[j] run inside
-		// batch.Exclusive and stay ungated.)
+		// their release window. (The epilogue runs inside batch.Exclusive
+		// and ungates the context it inherits.)
 		j := j
 		prs[j].TS.SetGate(regopt.InterpGate(func(key string, payload any) bool {
 			return batch.Interp(j, key, payload)
@@ -193,13 +190,19 @@ func RegisterBatch(base *mpi.Comm, exec *spectral.Ops, pes []*grid.Pencil, rhoTs
 				// communicator; the exclusive window keeps it serialized
 				// against neighbors and the scheduler.
 				batch.Exclusive(j, func() {
-					ctx := tss[j].NewContext(res.V, cfg.Opt.Incompressible)
-					out.U = tss[j].Displacement(ctx)
-					out.Det = tss[j].DetGrad(out.U)
+					// The exclusive window's exchanges stay solo: ungate the
+					// solver (the warp plan, a context built afresh) and the
+					// context inherited from the optimizer.
+					ts := prs[j].TS
+					ts.SetGate(nil)
+					ctx := prs[j].Context(res.V)
+					ctx.Ungate()
+					out.U = ts.Displacement(ctx)
+					out.Det = ts.DetGrad(out.U)
 					out.DetMin = out.Det.Min()
 					out.DetMax = out.Det.Max()
 					out.DetMean = out.Det.Mean()
-					out.Warped = tss[j].ApplyMap(rhoTs[j], out.U)
+					out.Warped = ts.ApplyMap(rhoTs[j], out.U)
 				})
 			}
 			return nil

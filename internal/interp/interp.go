@@ -12,14 +12,18 @@ import (
 	"diffreg/internal/par"
 )
 
-// Weights returns the four cubic Lagrange weights for stencil offsets
-// {-1, 0, 1, 2} at fractional position t in [0, 1). The weights reproduce
-// cubic polynomials exactly and sum to one.
-func Weights(t float64) [4]float64 {
+// Float is the set of precisions the cubic kernels evaluate in.
+type Float interface{ float32 | float64 }
+
+// WeightsOf returns the four cubic Lagrange weights for stencil offsets
+// {-1, 0, 1, 2} at fractional position t in [0, 1), in the arithmetic of T.
+// The weights reproduce cubic polynomials exactly and sum to one (up to
+// roundoff of T).
+func WeightsOf[T Float](t T) [4]T {
 	tm1 := t - 1
 	tm2 := t - 2
 	tp1 := t + 1
-	return [4]float64{
+	return [4]T{
 		-t * tm1 * tm2 / 6,
 		tp1 * tm1 * tm2 / 2,
 		-tp1 * t * tm2 / 2,
@@ -27,19 +31,12 @@ func Weights(t float64) [4]float64 {
 	}
 }
 
-// Weights32 is Weights in float32 arithmetic, for the narrow-precision
-// gather. The weights still sum to one up to float32 roundoff.
-func Weights32(t float32) [4]float32 {
-	tm1 := t - 1
-	tm2 := t - 2
-	tp1 := t + 1
-	return [4]float32{
-		-t * tm1 * tm2 / 6,
-		tp1 * tm1 * tm2 / 2,
-		-tp1 * t * tm2 / 2,
-		tp1 * t * tm1 / 6,
-	}
-}
+// Weights is WeightsOf at the float64 reference precision.
+func Weights(t float64) [4]float64 { return WeightsOf(t) }
+
+// Weights32 is WeightsOf in float32 arithmetic, for the narrow-precision
+// gather.
+func Weights32(t float32) [4]float32 { return WeightsOf(t) }
 
 // LinearWeights returns the two linear weights for stencil offsets {0, 1};
 // kept as the baseline scheme for the cubic-vs-linear ablation.

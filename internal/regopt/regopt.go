@@ -204,6 +204,17 @@ func (p *Problem) cachedEval(v *field.Vector) *Eval {
 	return p.Evaluate(v)
 }
 
+// Context returns the transport context of v: the one the optimizer's last
+// evaluation built when v is that iterate (the normal case for the accepted
+// iterate of a finished solve, whose map reconstruction then inherits the
+// plans instead of rebuilding them), a fresh one otherwise.
+func (p *Problem) Context(v *field.Vector) *transport.Context {
+	if e := p.lastEval; e != nil && e.V == v && e.Ctx != nil {
+		return e.Ctx
+	}
+	return p.TS.NewContext(v, p.Opt.Incompressible)
+}
+
 // rho1Of wraps the final state slice as a scalar field view.
 func (p *Problem) rho1Of(states [][]float64) *field.Scalar {
 	out := field.NewScalar(p.Pe)

@@ -3,7 +3,7 @@ package semilag
 // Regression tests for corrupted-velocity handling. Before this layer,
 // NewPlan looped forever on a -Inf coordinate (the repeated-subtraction
 // wrap never terminated), and a NaN coordinate flowed through SplitIndex
-// into an out-of-range slice index deep in evalPadded. Both must now
+// into an out-of-range slice index deep in the gather kernel. Both must now
 // surface as a typed *BadPointError through mpi.Run, on every rank count.
 
 import (

@@ -23,7 +23,6 @@ import (
 
 	"diffreg/internal/grid"
 	"diffreg/internal/mpi"
-	"diffreg/internal/par"
 	"diffreg/internal/prec"
 )
 
@@ -259,35 +258,20 @@ func (bi *BatchInterp) run64(calls []*BatchCall) {
 	pe.Col.SetPhase(oldCol)
 	pe.Row.SetPhase(oldRow)
 
-	// Local tricubic sweeps: each job's points against its own padded
-	// fields, via the job plan's pooled sweep (so Evals and exec time land
-	// on the same counters as solo runs).
+	// Local tricubic gathers: each job's points against its own padded
+	// fields, through the job plan's kernel (so Evals and exec time land on
+	// the same counters as solo runs).
 	vals := bi.valsFor(calls)
 	offs := bi.offsFor()
-	pd := gh.PaddedDims()
 	t0 := time.Now()
 	k = 0
 	for _, c := range calls {
 		pl := c.Plan
 		nf := len(c.Fields)
-		for fi := 0; fi < nf; fi++ {
-			for r := 0; r < p; r++ {
-				pts := pl.recvPts[r]
-				npts := len(pts) / 3
-				pl.sweep = sweepState{
-					padded: bi.pads[k],
-					pts:    pts,
-					out:    vals[r][offs[r]+fi*npts : offs[r]+(fi+1)*npts],
-					orig:   pl.origIdx[r],
-					pd:     pd,
-				}
-				par.ForChunks(npts, interpGrain, pl.sweep64Fn())
-				pl.Evals += int64(npts)
-			}
-			k++
-		}
+		pl.ws.f64.gather(pl, bi.pads[k:k+nf], vals, offs)
+		k += nf
 		for r := 0; r < p; r++ {
-			offs[r] += nf * (len(pl.recvPts[r]) / 3)
+			offs[r] += nf * len(pl.origIdx[r])
 		}
 	}
 	pe.Comm.AddExec(mpi.PhaseInterpExec, time.Since(t0).Seconds())
@@ -440,30 +424,15 @@ func (bi *BatchInterp) run32(calls []*BatchCall) {
 
 	vals := bi.vals32For(calls)
 	offs := bi.offsFor()
-	pd := gh.PaddedDims()
 	t0 := time.Now()
 	k = 0
 	for _, c := range calls {
 		pl := c.Plan
 		nf := len(c.Fields)
-		for fi := 0; fi < nf; fi++ {
-			for r := 0; r < p; r++ {
-				pts := pl.recvPts[r]
-				npts := len(pts) / 3
-				pl.sweep = sweepState{
-					padded32: bi.pads32[k],
-					pts:      pts,
-					out32:    vals[r][offs[r]+fi*npts : offs[r]+(fi+1)*npts],
-					orig:     pl.origIdx[r],
-					pd:       pd,
-				}
-				par.ForChunks(npts, interpGrain, pl.sweep32Fn())
-				pl.Evals += int64(npts)
-			}
-			k++
-		}
+		pl.ws.f32.gather(pl, bi.pads32[k:k+nf], vals, offs)
+		k += nf
 		for r := 0; r < p; r++ {
-			offs[r] += nf * (len(pl.recvPts[r]) / 3)
+			offs[r] += nf * len(pl.origIdx[r])
 		}
 	}
 	pe.Comm.AddExec(mpi.PhaseInterpExec, time.Since(t0).Seconds())
@@ -505,7 +474,7 @@ func (bi *BatchInterp) valsFor(calls []*BatchCall) [][]float64 {
 	for r := 0; r < p; r++ {
 		need := 0
 		for _, c := range calls {
-			need += len(c.Fields) * (len(c.Plan.recvPts[r]) / 3)
+			need += len(c.Fields) * len(c.Plan.origIdx[r])
 		}
 		if cap(bi.vals[r]) < need {
 			bi.vals[r] = make([]float64, need)
@@ -524,7 +493,7 @@ func (bi *BatchInterp) vals32For(calls []*BatchCall) [][]float32 {
 	for r := 0; r < p; r++ {
 		need := 0
 		for _, c := range calls {
-			need += len(c.Fields) * (len(c.Plan.recvPts[r]) / 3)
+			need += len(c.Fields) * len(c.Plan.origIdx[r])
 		}
 		if cap(bi.vals32[r]) < need {
 			bi.vals32[r] = make([]float32, need)

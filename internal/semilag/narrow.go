@@ -12,17 +12,8 @@ package semilag
 import (
 	"time"
 
-	"diffreg/internal/grid"
-	"diffreg/internal/interp"
 	"diffreg/internal/mpi"
-	"diffreg/internal/par"
 )
-
-// soaBlock is the point-block width of the narrow gather: sweep 1 stages
-// indices and weights for a block into stack-resident SoA arrays, sweep 2
-// streams the gathers. Small enough to keep the staging in L1 alongside
-// the stencil lines.
-const soaBlock = 64
 
 // interpMany32 is InterpMany on the narrow path. Like the reference path
 // it writes into plan-owned scratch: results are valid until the next
@@ -31,29 +22,16 @@ func (pl *Plan) interpMany32(fields [][]float64) [][]float64 {
 	pe := pl.Pe
 	p := pe.Comm.Size()
 	nf := len(fields)
-	vals := pl.vals32For(nf)
-	padded := pl.pad32For()
-	blk := pl.blk32For()
-	pd := pl.Ghost.PaddedDims()
+	g := &pl.ws.f32
+	pads, blk := g.padsFor(pl.Ghost, nf)
 	for fi, f := range fields {
 		pe.Comm.CountInterp(int64(pl.NQ))
-		pl.Ghost.PadInto32(padded, f, blk)
-		t0 := time.Now()
-		for r := 0; r < p; r++ {
-			pts := pl.recvPts[r]
-			npts := len(pts) / 3
-			pl.sweep = sweepState{
-				padded32: padded,
-				pts:      pts,
-				out32:    vals[r][fi*npts : (fi+1)*npts],
-				orig:     pl.origIdx[r],
-				pd:       pd,
-			}
-			par.ForChunks(npts, interpGrain, pl.sweep32Fn())
-			pl.Evals += int64(npts)
-		}
-		pe.Comm.AddExec(mpi.PhaseInterpExec, time.Since(t0).Seconds())
+		pl.Ghost.PadInto32(pads[fi], f, blk)
 	}
+	vals := g.valsFor(pl, nf)
+	t0 := time.Now()
+	g.gather(pl, pads, vals, nil)
+	pe.Comm.AddExec(mpi.PhaseInterpExec, time.Since(t0).Seconds())
 	back := vals
 	if p > 1 {
 		old := pe.Comm.SetPhase(mpi.PhaseInterpComm)
@@ -73,80 +51,6 @@ func (pl *Plan) interpMany32(fields [][]float64) [][]float64 {
 		}
 	}
 	return outs
-}
-
-// evalBlock32 evaluates the sorted points [lo, hi) against a float32
-// padded field in blocked SoA form: one index/weight staging sweep, then
-// one gather sweep whose inner dimension-2 line is a contiguous 4-wide
-// multiply-add the compiler can keep in vector registers. Points whose
-// dimension-2 stencil wraps the periodic boundary fall back to the
-// indexed gather.
-func evalBlock32(f []float32, pd [3]int, pe *grid.Pencil, pts []float64, lo, hi int, out []float32, orig []int32) {
-	n := pe.Grid.N
-	n3 := n[2]
-	stride1 := pd[1] * pd[2]
-	stride2 := pd[2]
-	var corner [soaBlock]int32
-	var i3s [soaBlock]int32
-	var w1s, w2s, w3s [soaBlock][4]float32
-	for blo := lo; blo < hi; blo += soaBlock {
-		bhi := blo + soaBlock
-		if bhi > hi {
-			bhi = hi
-		}
-		nb := bhi - blo
-		for k := 0; k < nb; k++ {
-			q := blo + k
-			i1, t1 := interp.SplitIndex(pts[3*q], n[0])
-			i2, t2 := interp.SplitIndex(pts[3*q+1], n[1])
-			i3, t3 := interp.SplitIndex(pts[3*q+2], n3)
-			li1 := i1 - pe.Lo[0] + GhostWidth
-			li2 := i2 - pe.Lo[1] + GhostWidth
-			corner[k] = int32((li1-1)*stride1 + (li2-1)*stride2)
-			i3s[k] = int32(i3)
-			w1s[k] = interp.Weights32(float32(t1))
-			w2s[k] = interp.Weights32(float32(t2))
-			w3s[k] = interp.Weights32(float32(t3))
-		}
-		for k := 0; k < nb; k++ {
-			i3 := int(i3s[k])
-			w1, w2, w3 := &w1s[k], &w2s[k], &w3s[k]
-			var sum float32
-			if i3 >= 1 && i3 <= n3-3 {
-				base := int(corner[k]) + i3 - 1
-				for a := 0; a < 4; a++ {
-					ra := base + a*stride1
-					for b := 0; b < 4; b++ {
-						row := f[ra+b*stride2 : ra+b*stride2+4 : ra+b*stride2+4]
-						sum += w1[a] * w2[b] *
-							(w3[0]*row[0] + w3[1]*row[1] + w3[2]*row[2] + w3[3]*row[3])
-					}
-				}
-			} else {
-				var idx3 [4]int
-				for c := 0; c < 4; c++ {
-					j := i3 + c - 1
-					if j < 0 {
-						j += n3
-					} else if j >= n3 {
-						j -= n3
-					}
-					idx3[c] = j
-				}
-				base := int(corner[k])
-				for a := 0; a < 4; a++ {
-					ra := base + a*stride1
-					for b := 0; b < 4; b++ {
-						rb := ra + b*stride2
-						sum += w1[a] * w2[b] *
-							(w3[0]*f[rb+idx3[0]] + w3[1]*f[rb+idx3[1]] +
-								w3[2]*f[rb+idx3[2]] + w3[3]*f[rb+idx3[3]])
-					}
-				}
-			}
-			out[orig[blo+k]] = sum
-		}
-	}
 }
 
 // interior32Into copies the local field into the interior of the padded

@@ -103,9 +103,10 @@ func TestPlanInterpMatchesSerialReference(t *testing.T) {
 }
 
 func TestInterpManyMatchesRepeatedInterp(t *testing.T) {
+	// One pass over the points for all fields of a call must give, bit for
+	// bit, what one call per field gives — for every field count in use.
 	g := grid.MustNew(8, 8, 8)
-	f1 := globalRandom(g.N, 1)
-	f2 := globalRandom(g.N, 2)
+	fields := [][]float64{globalRandom(g.N, 1), globalRandom(g.N, 2), globalRandom(g.N, 3)}
 	_, err := mpi.Run(4, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
 		pe, err := grid.NewPencil(g, c)
 		if err != nil {
@@ -121,20 +122,23 @@ func TestInterpManyMatchesRepeatedInterp(t *testing.T) {
 			}
 		}
 		plan := NewPlan(pe, pts)
-		l1, l2 := localOf(pe, f1), localOf(pe, f2)
-		// Outs are plan-owned scratch, valid only until the next interp on
-		// the same plan — copy before issuing the solo calls.
-		res := plan.InterpMany(l1, l2)
-		both := [][]float64{
-			append([]float64(nil), res[0]...),
-			append([]float64(nil), res[1]...),
+		locals := make([][]float64, len(fields))
+		single := make([][]float64, len(fields))
+		for i, f := range fields {
+			locals[i] = localOf(pe, f)
+			// Outs are plan-owned scratch, valid only until the next interp
+			// on the same plan — copy before the next call.
+			single[i] = append([]float64(nil), plan.Interp(locals[i])...)
 		}
-		one1 := append([]float64(nil), plan.Interp(l1)...)
-		one2 := plan.Interp(l2)
-		for q := 0; q < nq; q++ {
-			if both[0][q] != one1[q] || both[1][q] != one2[q] {
-				t.Errorf("batched interp differs at %d", q)
-				return nil
+		for nf := 1; nf <= len(fields); nf++ {
+			many := plan.InterpMany(locals[:nf]...)
+			for i := 0; i < nf; i++ {
+				for q := 0; q < nq; q++ {
+					if math.Float64bits(many[i][q]) != math.Float64bits(single[i][q]) {
+						t.Errorf("%d-field call: field %d differs from its solo interp at point %d", nf, i, q)
+						return nil
+					}
+				}
 			}
 		}
 		return nil

@@ -50,20 +50,10 @@ func (s *Solver) StateSeries(sc *SeriesContext, rho0 *field.Scalar) [][]float64 
 // AdjointSeries solves the adjoint equation backward in time with the
 // time-varying velocity.
 func (s *Solver) AdjointSeries(sc *SeriesContext, lamT *field.Scalar) [][]float64 {
-	out := make([][]float64, s.Nt+1)
-	cur := make([]float64, len(lamT.Data))
-	copy(cur, lamT.Data)
-	out[s.Nt] = cur
+	out := s.trajectory()
+	copy(out[s.Nt], lamT.Data)
 	for j := s.Nt - 1; j >= 0; j-- {
-		ctx := sc.ctxAt(j)
-		if ctx.Solenoidal {
-			// Interp returns plan scratch; the trajectory retains each
-			// step, so it gets a fresh copy.
-			cur = append([]float64(nil), ctx.Adj.Interp(cur)...)
-		} else {
-			cur = s.stepLinearSource(ctx.Adj, cur, ctx.DivV.Data, ctx.DivVAdjX)
-		}
-		out[j] = cur
+		s.adjointStepInto(out[j], sc.ctxAt(j), out[j+1])
 	}
 	return out
 }
@@ -103,19 +93,10 @@ func (s *Solver) IncStateSeries(sc *SeriesContext, gradRho [][3][]float64, vts f
 // IncAdjointGNSeries solves the Gauss-Newton incremental adjoint backward
 // with the time-varying velocity and the given terminal condition.
 func (s *Solver) IncAdjointGNSeries(sc *SeriesContext, term *field.Scalar) [][]float64 {
-	n := s.Pe.LocalTotal()
-	out := make([][]float64, s.Nt+1)
-	cur := make([]float64, n)
-	copy(cur, term.Data)
-	out[s.Nt] = cur
+	out := s.trajectory()
+	copy(out[s.Nt], term.Data)
 	for j := s.Nt - 1; j >= 0; j-- {
-		ctx := sc.ctxAt(j)
-		if ctx.Solenoidal {
-			cur = append([]float64(nil), ctx.Adj.Interp(cur)...)
-		} else {
-			cur = s.stepLinearSource(ctx.Adj, cur, ctx.DivV.Data, ctx.DivVAdjX)
-		}
-		out[j] = cur
+		s.adjointStepInto(out[j], sc.ctxAt(j), out[j+1])
 	}
 	return out
 }
@@ -128,11 +109,12 @@ func (s *Solver) DisplacementSeries(sc *SeriesContext) *field.Vector {
 	u := field.NewVector(s.Pe)
 	for step := 0; step < s.Nt; step++ {
 		ctx := sc.ctxAt(step)
+		vFwdX := ctx.vAtFwd()
 		vals := ctx.Fwd.InterpMany(u.C[0].Data, u.C[1].Data, u.C[2].Data)
 		for d := 0; d < 3; d++ {
 			uNew := make([]float64, n)
 			for i := 0; i < n; i++ {
-				uNew[i] = vals[d][i] - 0.5*dt*(ctx.VFwdX[d][i]+ctx.V.C[d].Data[i])
+				uNew[i] = vals[d][i] - 0.5*dt*(vFwdX[d][i]+ctx.V.C[d].Data[i])
 			}
 			copy(u.C[d].Data, uNew)
 		}

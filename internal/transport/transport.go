@@ -26,6 +26,11 @@ type Solver struct {
 	stepBuf []float64 // per-component displacement step scratch
 	zeroBuf []float64 // kept-zero source placeholder; never written
 
+	// planner builds every interpolation plan of this solver; it owns the
+	// RK2 star-point plan, rebuilt in place per trace, and the scratch the
+	// plans share.
+	planner *semilag.Planner
+
 	// gate, when set, is installed on every interpolation plan this
 	// solver builds, so a batch scheduler can fuse the gather exchanges
 	// across jobs (see semilag.Gate). Nil on solo solvers.
@@ -62,6 +67,14 @@ func (s *Solver) zeroField() []float64 {
 	return s.zeroBuf
 }
 
+// plans returns the solver's lazily built interpolation planner.
+func (s *Solver) plans() *semilag.Planner {
+	if s.planner == nil {
+		s.planner = semilag.NewPlanner(s.Pe, s.Ops.Precision())
+	}
+	return s.planner
+}
+
 // trajectory allocates a full time trajectory (nt+1 local arrays) backed by
 // a single slab: one allocation instead of nt+1, and the slices stay valid
 // for as long as the caller keeps the trajectory.
@@ -77,45 +90,86 @@ func (s *Solver) trajectory() [][]float64 {
 
 // Context caches everything that depends only on the velocity field: the
 // departure-point interpolation plans for the forward (+v) and adjoint
-// (-v) directions, div v and its interpolants, and v at the forward
+// (-v) directions, div v and its interpolant, and v at the forward
 // departure points. Building it is the paper's "interpolation planner" and
-// happens once per velocity per Newton iteration.
+// happens once per velocity per Newton iteration — and only for the parts
+// a velocity's consumers reach: NewContext builds the forward plan, the
+// adjoint half (Adj plan, div v at its departure points) is built by the
+// first adjoint or incremental-adjoint step, and v at the forward departure
+// points by the first displacement solve. A rejected line-search trial pays
+// for the forward plan alone. The lazy builds are collective; SPMD control
+// flow makes every rank trigger them at the same call.
 type Context struct {
 	V   *field.Vector
 	Fwd *semilag.Plan // departure points of +v characteristics
-	Adj *semilag.Plan // departure points of -v characteristics
-
-	DivV     *field.Scalar
-	DivVAdjX []float64 // div v at the adjoint departure points
-	VFwdX    [3][]float64
 	// Solenoidal indicates div v vanishes, so the adjoint sources drop and
 	// the transport solves reduce to pure interpolation (§III-C2).
 	Solenoidal bool
+
+	s    *Solver      // the builder: its planner serves the lazy halves
+	gate semilag.Gate // installed on every plan of this context
+
+	adj      *semilag.Plan // departure points of -v characteristics
+	divV     *field.Scalar
+	divVAdjX []float64 // div v at the adjoint departure points
+	vFwdX    [3][]float64
 }
 
 // NewContext builds the per-velocity caches. solenoidal should be true
 // when v is (projected) divergence-free; the zero sources are then skipped.
 func (s *Solver) NewContext(v *field.Vector, solenoidal bool) *Context {
-	dt := s.Dt()
-	pr := s.Ops.Precision()
-	ctx := &Context{V: v, Solenoidal: solenoidal}
-	ctx.Fwd = semilag.NewPlanPrec(s.Pe, semilag.DeparturePrecGate(s.Pe, v, dt, pr, s.gate), pr)
-	ctx.Fwd.SetGate(s.gate)
-	neg := v.Clone()
-	neg.Scale(-1)
-	ctx.Adj = semilag.NewPlanPrec(s.Pe, semilag.DeparturePrecGate(s.Pe, neg, dt, pr, s.gate), pr)
-	ctx.Adj.SetGate(s.gate)
-	// The interpolation results below live as long as the context, so they
-	// are copied out of the plans' scratch.
-	vx := ctx.Fwd.InterpMany(v.C[0].Data, v.C[1].Data, v.C[2].Data)
-	for d := 0; d < 3; d++ {
-		ctx.VFwdX[d] = append([]float64(nil), vx[d]...)
-	}
-	if !solenoidal {
-		ctx.DivV = s.Ops.Div(v)
-		ctx.DivVAdjX = append([]float64(nil), ctx.Adj.Interp(ctx.DivV.Data)...)
-	}
+	ctx := &Context{V: v, Solenoidal: solenoidal, s: s, gate: s.gate}
+	ctx.Fwd = ctx.departurePlan(s.Dt())
 	return ctx
+}
+
+// departurePlan builds the plan of the departure points of V traced over
+// dt (negative dt traces -V, bit-identically to negating the field).
+func (ctx *Context) departurePlan(dt float64) *semilag.Plan {
+	pn := ctx.s.plans()
+	pn.SetGate(ctx.gate)
+	pl := pn.NewPlan(pn.Departure(ctx.V, dt))
+	pl.SetGate(ctx.gate)
+	return pl
+}
+
+// Ungate clears the batch gate from the context's plans, built or not: a
+// fused solve's epilogue inherits the optimizer's gated context but runs
+// inside an exclusive window, where the exchanges must stay solo.
+func (ctx *Context) Ungate() {
+	ctx.gate = nil
+	ctx.Fwd.SetGate(nil)
+	if ctx.adj != nil {
+		ctx.adj.SetGate(nil)
+	}
+}
+
+// adjPlan returns the adjoint-direction plan, building the adjoint half of
+// the context on first use.
+func (ctx *Context) adjPlan() *semilag.Plan {
+	if ctx.adj == nil {
+		ctx.adj = ctx.departurePlan(-ctx.s.Dt())
+		if !ctx.Solenoidal {
+			// The interpolant lives as long as the context, so it is copied
+			// out of the plan's scratch.
+			ctx.divV = ctx.s.Ops.Div(ctx.V)
+			ctx.divVAdjX = append([]float64(nil), ctx.adj.Interp(ctx.divV.Data)...)
+		}
+	}
+	return ctx.adj
+}
+
+// vAtFwd returns v at the forward departure points, interpolated on first
+// use.
+func (ctx *Context) vAtFwd() *[3][]float64 {
+	if ctx.vFwdX[0] == nil {
+		v := ctx.V
+		vx := ctx.Fwd.InterpMany(v.C[0].Data, v.C[1].Data, v.C[2].Data)
+		for d := 0; d < 3; d++ {
+			ctx.vFwdX[d] = append([]float64(nil), vx[d]...)
+		}
+	}
+	return &ctx.vFwdX
 }
 
 // State solves the forward transport equation (2b) with initial condition
@@ -133,68 +187,49 @@ func (s *Solver) State(ctx *Context, rho0 *field.Scalar) [][]float64 {
 	return out
 }
 
-// StateFinal solves the forward transport equation but returns only the
-// final state rho(1), without storing the trajectory — the line search
-// evaluates the objective many times per Newton iteration and needs no
-// time history, so this saves nt*N^3/p values per trial (§III-C4 storage
-// accounting).
-func (s *Solver) StateFinal(ctx *Context, rho0 *field.Scalar) []float64 {
-	cur := make([]float64, len(rho0.Data))
-	copy(cur, rho0.Data)
-	for j := 0; j < s.Nt; j++ {
-		// In-place through the plan scratch is safe: the field is fully
-		// copied into the padded array before any output is written.
-		copy(cur, ctx.Fwd.Interp(cur))
-	}
-	return cur
-}
-
 // Adjoint solves the backward transport equation (3) from the terminal
 // condition lamT = lambda(t=1) and returns lambda(t_j), j = 0..nt, ordered
 // forward in time. In reversed time tau = 1-t the equation reads
 // d_tau lambda - v . grad lambda = lambda div v, a semi-Lagrangian sweep
 // along the -v characteristics with the linear source lambda*divv.
 func (s *Solver) Adjoint(ctx *Context, lamT *field.Scalar) [][]float64 {
-	out := make([][]float64, s.Nt+1)
-	cur := make([]float64, len(lamT.Data))
-	copy(cur, lamT.Data)
-	out[s.Nt] = cur
+	out := s.trajectory()
+	copy(out[s.Nt], lamT.Data)
 	for j := s.Nt - 1; j >= 0; j-- {
-		cur = s.AdjointStep(ctx, cur)
-		out[j] = cur
+		s.adjointStepInto(out[j], ctx, out[j+1])
 	}
 	return out
 }
 
 // AdjointStep advances the adjoint one time step backward (from t_{j+1}
-// to t_j): pure interpolation along the -v characteristics for
-// divergence-free velocities, the Heun corrector with the lambda*div(v)
-// source otherwise. Exposed for solvers that interleave steps with other
-// operations (the multiframe time-series adjoint adds misfit jumps at the
-// frame times).
+// to t_j) and returns the result as a fresh slice the caller may retain.
+// Exposed for solvers that interleave steps with other operations (the
+// multiframe time-series adjoint adds misfit jumps at the frame times).
 func (s *Solver) AdjointStep(ctx *Context, cur []float64) []float64 {
-	if ctx.Solenoidal {
-		// Callers retain the step result while stepping further on the
-		// same plan, so the scratch is copied into a fresh slice.
-		return append([]float64(nil), ctx.Adj.Interp(cur)...)
-	}
-	return s.stepLinearSource(ctx.Adj, cur, ctx.DivV.Data, ctx.DivVAdjX)
+	out := make([]float64, len(cur))
+	s.adjointStepInto(out, ctx, cur)
+	return out
 }
 
-// stepLinearSource advances one step of d_tau nu + w . grad nu = nu * c
-// with the Heun (RK2) corrector of scheme (7): the source depends on the
-// transported variable itself, so the predictor nu* is required.
-func (s *Solver) stepLinearSource(plan *semilag.Plan, nu, cGrid, cAtX []float64) []float64 {
+// adjointStepInto writes one backward adjoint step of cur into dst: pure
+// interpolation along the -v characteristics for divergence-free
+// velocities, the Heun (RK2) corrector of scheme (7) with the lambda*div(v)
+// source otherwise — the source depends on the transported variable itself,
+// so the predictor nu* is required.
+func (s *Solver) adjointStepInto(dst []float64, ctx *Context, cur []float64) {
+	nu0X := ctx.adjPlan().Interp(cur)
+	if ctx.Solenoidal {
+		copy(dst, nu0X)
+		return
+	}
 	dt := s.Dt()
-	nu0X := plan.Interp(nu)
-	out := make([]float64, len(nu))
-	for i := range out {
+	cGrid, cAtX := ctx.divV.Data, ctx.divVAdjX
+	for i := range dst {
 		f0 := nu0X[i] * cAtX[i]
 		nuStar := nu0X[i] + dt*f0
 		fStar := nuStar * cGrid[i]
-		out[i] = nu0X[i] + 0.5*dt*(f0+fStar)
+		dst[i] = nu0X[i] + 0.5*dt*(f0+fStar)
 	}
-	return out
 }
 
 // GradSlices computes the spectral gradient of every stored state slice.
@@ -281,17 +316,13 @@ func (s *Solver) IncAdjointNewton(ctx *Context, lambdas [][]float64, vt *field.V
 		div.Data = srcs[j]
 		s.Ops.DivInto(work, &div)
 	}
-	zero := s.zeroField()
-	divv := zero
-	divvX := zero
+	adj := ctx.adjPlan()
+	divv, divvX := s.zeroField(), s.zeroField()
 	if !ctx.Solenoidal {
-		divv = ctx.DivV.Data
-		divvX = ctx.DivVAdjX
-	} else {
-		divvX = zero
+		divv, divvX = ctx.divV.Data, ctx.divVAdjX
 	}
 	for j := s.Nt - 1; j >= 0; j-- {
-		vals := ctx.Adj.InterpMany(cur, srcs[j+1])
+		vals := adj.InterpMany(cur, srcs[j+1])
 		nu0X, g0X := vals[0], vals[1]
 		next := out[j]
 		for i := 0; i < n; i++ {
@@ -313,12 +344,13 @@ func (s *Solver) Displacement(ctx *Context) *field.Vector {
 	n := s.Pe.LocalTotal()
 	u := field.NewVector(s.Pe)
 	uNew := s.stepScratch()
+	vFwdX := ctx.vAtFwd()
 	for step := 0; step < s.Nt; step++ {
 		vals := ctx.Fwd.InterpMany(u.C[0].Data, u.C[1].Data, u.C[2].Data)
 		for d := 0; d < 3; d++ {
 			for i := 0; i < n; i++ {
 				// Source f = -v: f0 at the departure point, f* on the grid.
-				uNew[i] = vals[d][i] - 0.5*dt*(ctx.VFwdX[d][i]+ctx.V.C[d].Data[i])
+				uNew[i] = vals[d][i] - 0.5*dt*(vFwdX[d][i]+ctx.V.C[d].Data[i])
 			}
 			copy(u.C[d].Data, uNew)
 		}
@@ -365,7 +397,7 @@ func (s *Solver) ApplyMap(img *field.Scalar, u *field.Vector) *field.Scalar {
 		pts[1][idx] = float64(pe.Lo[1]+i2) + u.C[1].Data[idx]/h[1]
 		pts[2][idx] = float64(pe.Lo[2]+i3) + u.C[2].Data[idx]/h[2]
 	})
-	plan := semilag.NewPlanPrec(pe, pts, s.Ops.Precision())
+	plan := s.plans().NewPlan(pts)
 	plan.SetGate(s.gate)
 	out := field.NewScalar(pe)
 	copy(out.Data, plan.Interp(img.Data))
@@ -409,14 +441,19 @@ func SuggestTimeSteps(v *field.Vector, target float64, minSteps int) int {
 // bytes, following the paper's accounting (§III-C4): every task stores
 // (2 nt + 5) N^3/p values for the state/adjoint/incremental variables,
 // plus 3(nt+1) N^3/p for the cached state gradients our Hessian matvecs
-// reuse. The semi-Lagrangian scheme's small nt is what keeps this
+// reuse, plus the interpolation planner's share: the forward and adjoint
+// plans of the current velocity (semilag.PlanBytesPerPoint per grid point
+// each) and the halo-padded field the gathers read, at the solver's
+// precision. The semi-Lagrangian scheme's small nt is what keeps this
 // feasible without checkpointing ("for large nt the storage requirements
 // become excessive and more sophisticated checkpointing schemes are
 // required — which are more expensive").
 func (s *Solver) MemoryPerRank() int64 {
 	local := int64(s.Pe.LocalTotal())
 	values := int64(2*s.Nt+5)*local + int64(3*(s.Nt+1))*local
-	return 8 * values
+	plans := 2 * local * semilag.PlanBytesPerPoint
+	padded := int64(semilag.NewGhost(s.Pe).PaddedLen()) * int64(s.Ops.Precision().WireBytesPerValue())
+	return 8*values + plans + padded
 }
 
 // InverseDisplacement solves for the displacement of the inverse map
@@ -432,7 +469,8 @@ func (s *Solver) InverseDisplacement(ctx *Context) *field.Vector {
 	// points; v at those points is needed for the source. The values are
 	// retained across the step loop's interpolations, so they leave the
 	// plan scratch.
-	vX := ctx.Adj.InterpMany(ctx.V.C[0].Data, ctx.V.C[1].Data, ctx.V.C[2].Data)
+	adj := ctx.adjPlan()
+	vX := adj.InterpMany(ctx.V.C[0].Data, ctx.V.C[1].Data, ctx.V.C[2].Data)
 	var vAdjX [3][]float64
 	for d := 0; d < 3; d++ {
 		vAdjX[d] = append([]float64(nil), vX[d]...)
@@ -440,7 +478,7 @@ func (s *Solver) InverseDisplacement(ctx *Context) *field.Vector {
 	u := field.NewVector(s.Pe)
 	uNew := s.stepScratch()
 	for step := 0; step < s.Nt; step++ {
-		vals := ctx.Adj.InterpMany(u.C[0].Data, u.C[1].Data, u.C[2].Data)
+		vals := adj.InterpMany(u.C[0].Data, u.C[1].Data, u.C[2].Data)
 		for d := 0; d < 3; d++ {
 			for i := 0; i < n; i++ {
 				uNew[i] = vals[d][i] + 0.5*dt*(vAdjX[d][i]+ctx.V.C[d].Data[i])

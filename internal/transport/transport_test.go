@@ -372,7 +372,10 @@ func TestMemoryPerRank(t *testing.T) {
 	withSolver(t, g, 4, 4, func(s *Solver) error {
 		got := s.MemoryPerRank()
 		local := int64(s.Pe.LocalTotal())
-		want := 8 * ((2*4+5)*local + 3*5*local)
+		// 16^3 on a 2x2 pencil: 8x8x16 local, padded by two halo cells on
+		// each side of the split dimensions.
+		padded := int64(12 * 12 * 16)
+		want := 8*((2*4+5)*local+3*5*local) + 2*40*local + 8*padded
 		if got != want {
 			t.Errorf("memory estimate %d want %d", got, want)
 		}
