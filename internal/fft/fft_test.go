@@ -8,7 +8,10 @@ import (
 	"testing/quick"
 )
 
-// naiveDFT is the O(n^2) reference transform.
+// naiveDFT is the O(n^2) reference transform. Each twiddle angle is reduced
+// exactly (j*k mod n) and the sums are compensated, so the reference is
+// accurate to about one rounding and a fast kernel can be held to an
+// O(eps*log2(n)) bound against it.
 func naiveDFT(x []complex128, inverse bool) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)
@@ -17,17 +20,68 @@ func naiveDFT(x []complex128, inverse bool) []complex128 {
 		sign = 1.0
 	}
 	for k := 0; k < n; k++ {
-		var s complex128
+		var re, im compSum
 		for j := 0; j < n; j++ {
-			ang := sign * 2 * math.Pi * float64(j) * float64(k) / float64(n)
-			s += x[j] * cmplx.Exp(complex(0, ang))
+			s, c := math.Sincos(sign * 2 * math.Pi * float64(j*k%n) / float64(n))
+			re.add(real(x[j]) * c)
+			re.add(-imag(x[j]) * s)
+			im.add(real(x[j]) * s)
+			im.add(imag(x[j]) * c)
 		}
+		v := complex(re.value(), im.value())
 		if inverse {
-			s /= complex(float64(n), 0)
+			v /= complex(float64(n), 0)
 		}
-		out[k] = s
+		out[k] = v
 	}
 	return out
+}
+
+// compSum is Neumaier's compensated summation.
+type compSum struct{ s, c float64 }
+
+func (a *compSum) add(v float64) {
+	t := a.s + v
+	if math.Abs(a.s) >= math.Abs(v) {
+		a.c += (a.s - t) + v
+	} else {
+		a.c += (v - t) + a.s
+	}
+	a.s = t
+}
+
+func (a compSum) value() float64 { return a.s + a.c }
+
+// relErr is ||got - want||_2 / ||want||_2.
+func relErr(got, want []complex128) float64 {
+	var num, den float64
+	for i := range got {
+		d := got[i] - want[i]
+		num += real(d)*real(d) + imag(d)*imag(d)
+		den += real(want[i])*real(want[i]) + imag(want[i])*imag(want[i])
+	}
+	return math.Sqrt(num / den)
+}
+
+// kernelTol is the relative error allowed at length n: c*eps*log2(n), the
+// growth of a stable FFT, with c = 4 (measured worst ratio below 1 over
+// n <= 320, Stockham and Bluestein alike).
+func kernelTol(n int) float64 {
+	const eps = 0x1p-52
+	return 4 * eps * math.Max(1, math.Log2(float64(n)))
+}
+
+// testLengths returns every 2-3-5-smooth n <= 320 (all Stockham, including
+// 1, 2, 3, 5, 48, 60, 256 and 300) followed by Bluestein-over-Stockham
+// lengths.
+func testLengths() []int {
+	var ns []int
+	for n := 1; n <= 320; n++ {
+		if NewPlan(n).chirp == nil {
+			ns = append(ns, n)
+		}
+	}
+	return append(ns, 7, 14, 31, 49, 77, 97)
 }
 
 func randComplex(n int, rng *rand.Rand) []complex128 {
@@ -50,28 +104,56 @@ func maxAbsDiff(a, b []complex128) float64 {
 
 func TestForwardMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 3, 4, 5, 8, 12, 16, 30, 31, 32, 64, 100, 300} {
+	for _, n := range testLengths() {
 		x := randComplex(n, rng)
 		p := NewPlan(n)
 		got := make([]complex128, n)
 		p.Forward(x, got)
-		want := naiveDFT(x, false)
-		if d := maxAbsDiff(got, want); d > 1e-9*float64(n) {
-			t.Errorf("n=%d: forward mismatch %g", n, d)
+		if e := relErr(got, naiveDFT(x, false)); e > kernelTol(n) {
+			t.Errorf("n=%d: forward relative error %g > %g", n, e, kernelTol(n))
 		}
 	}
 }
 
 func TestInverseMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{2, 3, 7, 8, 16, 30, 300} {
+	for _, n := range testLengths() {
 		x := randComplex(n, rng)
 		p := NewPlan(n)
 		got := make([]complex128, n)
 		p.Inverse(x, got)
-		want := naiveDFT(x, true)
-		if d := maxAbsDiff(got, want); d > 1e-9*float64(n) {
-			t.Errorf("n=%d: inverse mismatch %g", n, d)
+		if e := relErr(got, naiveDFT(x, true)); e > kernelTol(n) {
+			t.Errorf("n=%d: inverse relative error %g > %g", n, e, kernelTol(n))
+		}
+	}
+}
+
+// TestWorkZeroAllocs gates the caller-scratch transforms pfft runs on every
+// line at zero heap allocations, and Forward/Inverse at the lengths whose
+// scratch fits on the stack.
+func TestWorkZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{48, 60, 64, 300} {
+		p := NewPlan(n)
+		x := randComplex(n, rng)
+		dst := make([]complex128, n)
+		half := make([]complex128, HalfLen(n))
+		r := make([]float64, n)
+		work := make([]complex128, p.RealWorkLen())
+		ops := map[string]func(){
+			"ForwardWork":     func() { p.ForwardWork(x, dst, work) },
+			"InverseWork":     func() { p.InverseWork(x, dst, work) },
+			"ForwardRealWork": func() { p.ForwardRealWork(r, half, work) },
+			"InverseRealWork": func() { p.InverseRealWork(half, r, work) },
+		}
+		if p.WorkLen() <= stackWork {
+			ops["Forward"] = func() { p.Forward(x, dst) }
+			ops["Inverse"] = func() { p.Inverse(x, dst) }
+		}
+		for name, op := range ops {
+			if a := testing.AllocsPerRun(20, op); a != 0 {
+				t.Errorf("n=%d: %s allocates %v times per call", n, name, a)
+			}
 		}
 	}
 }
@@ -119,7 +201,7 @@ func TestParsevalProperty(t *testing.T) {
 func TestLinearityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := 24 // mixed radix (Bluestein path)
+		n := 24 // radices 4, 2, 3
 		x := randComplex(n, r)
 		y := randComplex(n, r)
 		a := complex(r.NormFloat64(), r.NormFloat64())
@@ -229,7 +311,7 @@ func TestForward3RealDC(t *testing.T) {
 }
 
 func BenchmarkForward1D(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
+	for _, n := range []int{60, 64, 256, 300, 1024} {
 		b.Run(sizeName(n), func(b *testing.B) {
 			p := NewPlan(n)
 			x := randComplex(n, rand.New(rand.NewSource(1)))

@@ -19,8 +19,8 @@ func dot(a, b []complex128) complex128 {
 
 // TestAdjointProperty checks <Fx, y> == <x, F*y> where the adjoint of the
 // unnormalized forward transform is F* = n * Inverse (the inverse is
-// (1/n) F^H). Exercised on power-of-two, mixed-radix, and prime (Bluestein)
-// lengths.
+// (1/n) F^H). Exercised on Stockham lengths (powers of two and mixed
+// 2-3-5 radices) and on Bluestein lengths (17, 101).
 func TestAdjointProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{8, 12, 17, 30, 64, 101, 300} {
@@ -45,8 +45,8 @@ func TestAdjointProperty(t *testing.T) {
 }
 
 // TestAdjointQuick is the same adjoint identity as a testing/quick property
-// over random lengths, so the radix-2, mixed-radix, and Bluestein code
-// paths are all sampled.
+// over random lengths, so every Stockham radix and the Bluestein fallback
+// are all sampled.
 func TestAdjointQuick(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := 2 + int(nRaw)%126
@@ -71,9 +71,9 @@ func TestAdjointQuick(t *testing.T) {
 }
 
 // TestParsevalBluestein pins Parseval's identity at explicitly
-// non-power-of-two lengths (prime 17 and 31 force the Bluestein path;
-// 12 and 30 the mixed-radix path), complementing the randomized
-// TestParsevalProperty.
+// non-power-of-two lengths (primes 17 and 31 take the Bluestein fallback;
+// 12 and 30 the Stockham radix-3 and radix-5 passes), complementing the
+// randomized TestParsevalProperty.
 func TestParsevalBluestein(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{12, 17, 30, 31} {

@@ -122,8 +122,8 @@ func transformAxis(a []complex128, n1, n2, m3, axis int, inverse bool) {
 	}
 	p := NewPlan(length)
 	par.Chunked(count, lineGrain, func(lo, hi int) {
-		line := make([]complex128, length)
-		res := make([]complex128, length)
+		buf := make([]complex128, 2*length+p.WorkLen())
+		line, res, work := buf[:length], buf[length:2*length], buf[2*length:]
 		for c := lo; c < hi; c++ {
 			var base int
 			if axis == 0 {
@@ -137,9 +137,9 @@ func transformAxis(a []complex128, n1, n2, m3, axis int, inverse bool) {
 				line[j] = a[base+j*stride]
 			}
 			if inverse {
-				p.Inverse(line, res)
+				p.InverseWork(line, res, work)
 			} else {
-				p.Forward(line, res)
+				p.ForwardWork(line, res, work)
 			}
 			for j := 0; j < length; j++ {
 				a[base+j*stride] = res[j]

@@ -9,13 +9,14 @@ package fft
 // fft3Complex transforms a complex volume in place along all three axes.
 func fft3Complex(a []complex128, n [3]int, inverse bool) {
 	p3 := NewPlan(n[2])
-	line := make([]complex128, n[2])
+	buf := make([]complex128, n[2]+p3.WorkLen())
+	line, work := buf[:n[2]], buf[n[2]:]
 	for i := 0; i < n[0]*n[1]; i++ {
 		copy(line, a[i*n[2]:(i+1)*n[2]])
 		if inverse {
-			p3.Inverse(line, a[i*n[2]:(i+1)*n[2]])
+			p3.InverseWork(line, a[i*n[2]:(i+1)*n[2]], work)
 		} else {
-			p3.Forward(line, a[i*n[2]:(i+1)*n[2]])
+			p3.ForwardWork(line, a[i*n[2]:(i+1)*n[2]], work)
 		}
 	}
 	transformAxis(a, n[0], n[1], n[2], 1, inverse)

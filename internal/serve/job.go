@@ -260,9 +260,9 @@ type Job struct {
 	lastKind     string
 
 	// onTerminal, when set (by the server), runs exactly once after the
-	// job reaches a terminal state, outside j.mu — the server journals the
-	// outcome, reaps the checkpoint spool, and retires the job into the
-	// retention ring from it.
+	// job reaches a terminal state, outside j.mu and before done closes —
+	// the server journals the outcome, reaps the checkpoint spool, and
+	// retires the job into the retention ring from it.
 	onTerminal func(*Job)
 
 	done chan struct{}
@@ -412,12 +412,14 @@ func (j *Job) finish(state JobState, result *JobResult, errMsg, errKind string, 
 	j.degradations = degradations
 	j.nextRetry = time.Time{}
 	j.appendLockedEvent(Event{Kind: "state", State: state})
-	close(j.done)
 	cb := j.onTerminal
 	j.mu.Unlock()
+	// A waiter on done must find the terminal record journaled and the
+	// spool reaped.
 	if cb != nil {
 		cb(j)
 	}
+	close(j.done)
 }
 
 // RequestCancel flags the job for cooperative cancellation. A queued job
