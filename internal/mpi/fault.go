@@ -231,8 +231,8 @@ func ParseFaultSpec(spec string) (*FaultPlan, error) {
 			}
 			fp.Seed = s
 		case "delay-ms":
-			d, err := strconv.Atoi(v)
-			if err != nil || d < 0 {
+			d, err := strconv.ParseInt(v, 10, 64)
+			if err != nil || d < 0 || d > math.MaxInt64/int64(time.Millisecond) {
 				return nil, fmt.Errorf("mpi: fault spec delay-ms %q", v)
 			}
 			fp.Delay = time.Duration(d) * time.Millisecond

@@ -363,6 +363,8 @@ func TestParseFaultSpec(t *testing.T) {
 	for _, bad := range []string{
 		"site=1:fft-comm:send:17", "site=x:fft-comm:send:0:delay", "site=1:warp:send:0:delay",
 		"site=1:fft-comm:push:0:delay", "site=1:fft-comm:send:0:explode", "seed=abc", "nonsense",
+		// delay-ms values whose millisecond Duration overflows int64.
+		"delay-ms=9300000000000", "delay-ms=18446744073710",
 	} {
 		if _, err := ParseFaultSpec(bad); err == nil {
 			t.Errorf("spec %q should fail to parse", bad)
@@ -373,6 +375,39 @@ func TestParseFaultSpec(t *testing.T) {
 	if got, err := parseSite(site.String()); err != nil || got != site {
 		t.Errorf("roundtrip %q -> %+v, %v", site.String(), got, err)
 	}
+}
+
+// FuzzParseFaultSpec checks that the spec parser never panics and that
+// every plan it accepts is well formed: a non-negative delay and sites
+// with non-negative rank and index and a known phase, op and kind.
+func FuzzParseFaultSpec(f *testing.F) {
+	for _, seed := range []string{
+		"seed=42;delay-ms=5;site=1:fft-comm:send:17:bitflip;site=0:interp-comm:coll:3:stall",
+		"seed=7;site=1:fft-comm:send:3:bitflip",
+		"seed=12;site=0:fft-comm:send:1:truncate",
+		"seed=13;site=2:interp-comm:send:1:drop",
+		"site=0:other:send:0:delay;site=0:fft-exec:coll:1:dup;site=0:interp-exec:send:2:stall",
+		"delay-ms=9300000000000",
+		"site=1:fft-comm:send:17",
+		"seed=abc",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		fp, err := ParseFaultSpec(spec)
+		if err != nil {
+			return
+		}
+		if fp.Delay < 0 {
+			t.Fatalf("spec %q: Delay = %v", spec, fp.Delay)
+		}
+		for k, kind := range fp.sites {
+			if k.rank < 0 || k.index < 0 || k.phase < 0 || k.phase >= numPhases ||
+				(k.op != OpSend && k.op != OpCollective) || kind < FaultDelay || kind > FaultStall {
+				t.Fatalf("spec %q: bad site %+v kind %v", spec, k, kind)
+			}
+		}
+	})
 }
 
 // TestValidationCleanOverhead runs a validated world with no faults: the

@@ -8,8 +8,9 @@
 # in its own tree, pair i on seed first-seed+i-1 (so a claim can be checked
 # again on seeds not used while writing the change), the side that runs first
 # swapping every pair. Prints the per-pair ratio of every end-to-end metric, each side's
-# median and quartiles, the win count, and — from one traced run per side —
-# every count- or byte-valued per-layer metric that differs.
+# median and quartiles, the win count, a claim/regression verdict against the
+# metric's direction and bound in BENCHMARK.json, and — from one traced run per
+# side — every count- or byte-valued per-layer metric that differs.
 #
 # The base tree is a `git archive` of <base-ref> unpacked under
 # .bench_build/ (ignored by git; not a worktree, so nothing is registered in
@@ -66,13 +67,22 @@ metric() {
     sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p" "$1"
 }
 
-# summary <file>: median and quartiles of a column of numbers.
-summary() {
+# stats <file>: median, q1, q3, min and max of a column of numbers.
+stats() {
     sort -g "$1" | awk '{v[NR]=$1} END {
-        if (NR == 0) { print "n/a"; exit }
-        printf "median %.6g  q1 %.6g  q3 %.6g", q(v, NR, 0.5), q(v, NR, 0.25), q(v, NR, 0.75)
+        if (NR) printf "%.17g %.17g %.17g %.17g %.17g\n", q(v, NR, 0.5), q(v, NR, 0.25), q(v, NR, 0.75), v[1], v[NR]
     }
     function q(v, n, p,   h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo+1] - v[lo]) }'
+}
+
+# summary <file>: median and quartiles of a column of numbers.
+summary() {
+    stats "$1" | awk '{ printf "median %.6g  q1 %.6g  q3 %.6g", $1, $2, $3 } END { if (!NR) print "n/a" }'
+}
+
+# spec <metric> <key>: one field of an end-to-end metric in BENCHMARK.json.
+spec() {
+    sed -n "s/.*\"name\": *\"$1\".*\"$2\": *\"\{0,1\}\([^\",}]*\).*/\1/p" "$root/BENCHMARK.json"
 }
 
 metrics="setup_s solve_s solve_cpu_s jobs_per_min peak_rss_mb misfit_rel"
@@ -101,14 +111,36 @@ for i in $(seq 1 "$pairs"); do
 done
 
 echo
-echo "change/base per metric (lower-is-better metrics win below 1, jobs_per_min above 1; ties count for neither):"
+echo "change/base per metric (a win is a pair where the change is better; ties count for neither):"
 for m in $metrics; do
     [ -f "$out/base.$m" ] || continue
-    wins=$(paste "$out/base.$m" "$out/change.$m" | awk -v m="$m" '
-        m == "jobs_per_min" ? $2 > $1 : $2 < $1 { w++ } END { print w + 0 }')
+    better=$(spec "$m" better)
+    bound=$(spec "$m" bound)
+    wins=$(paste "$out/base.$m" "$out/change.$m" | awk -v better="$better" '
+        better == "higher" ? $2 > $1 : $2 < $1 { w++ } END { print w + 0 }')
     echo "  $m: change wins $wins of $pairs"
     echo "    base   $(summary "$out/base.$m")"
     echo "    change $(summary "$out/change.$m")"
+    # claim: the change wins at least ceil(0.9 pairs) pairs and its median is
+    # better by more than the base's q3 - q1. regression: worse if the change
+    # median is worse by more than the bound; unresolved if the base spread
+    # (IQR / median) exceeds the bound and the two sides' runs overlap.
+    echo "$(stats "$out/base.$m") $(stats "$out/change.$m")" | awk -v better="$better" -v bound="$bound" \
+        -v wins="$wins" -v pairs="$pairs" '{
+        bm = $1; iqr = $3 - $2; bmin = $4; bmax = $5; cm = $6; cmin = $9; cmax = $10
+        s = better == "higher" ? -1 : 1
+        need = int((9 * pairs + 9) / 10)
+        gain = s * (bm - cm)
+        claim = wins >= need && gain > iqr ? "met" : "not met"
+        mag = bm < 0 ? -bm : bm
+        rel = mag > 0 ? -gain / mag : (cm == bm ? 0 : 1e300)
+        apart = better == "higher" ? cmin > bmax : cmax < bmin
+        if (rel > bound) reg = "worse"
+        else if ((mag > 0 ? iqr / mag : 0) > bound && !apart) reg = "unresolved"
+        else reg = "ok"
+        printf "    verdict: claim %s (%d of %d wins needed, median gain %.6g vs base IQR %.6g); regression %s (median worse by %+.1f%%, bound %g%%)\n",
+            claim, need, pairs, gain, iqr, reg, 100 * rel + 0, 100 * bound
+    }'
 done
 
 echo
