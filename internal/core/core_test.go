@@ -396,14 +396,18 @@ func TestRegisterResumeHonorsCheckpointBeta(t *testing.T) {
 }
 
 // TestInterpSweepsMatchClosedForm asserts the whole solve's interpolation
-// sweeps against the count the callbacks predict (non-solenoidal,
-// Gauss-Newton): E objective evaluations at 3+nt (forward plan, state
-// solve), G gradients at 3+1+nt (adjoint plan, div v, adjoint solve), M
-// Hessian matvecs at 3nt, and an epilogue of 3+3nt+1 — v at the departure
-// points, the displacement solve and the warp, with no plan rebuilt between
-// the optimizer's return and the displacement's own sweeps because the
-// accepted iterate's context is inherited. First instalment of the model
-// as a tested prediction (ROADMAP 1d).
+// sweeps and distributed FFTs against the counts the callbacks predict
+// (non-solenoidal, Gauss-Newton, H2). Sweeps: E objective evaluations at
+// 3+nt (forward plan, state solve), G gradients at 3+1+nt (adjoint plan,
+// div v, adjoint solve), M Hessian matvecs at 2nt (one sweep per step of
+// the incremental state and adjoint), and an epilogue of 3nt+1 — the
+// displacement solve and the warp, with no plan rebuilt between the
+// optimizer's return and the displacement's own sweeps because the accepted
+// iterate's context is inherited. FFTs: 6 per evaluation (A v, reused by
+// the gradient), 4nt+4 per gradient (div v, grad rho(t_j) for j >= 1), 4
+// once per solve (grad rho_T), 6 per matvec (A v~) and per preconditioner
+// application P, and 12 in the epilogue (det grad y). First instalments of
+// the model as a tested prediction (ROADMAP 1d, 2c).
 func TestInterpSweepsMatchClosedForm(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		cfg := DefaultConfig()
@@ -411,11 +415,16 @@ func TestInterpSweepsMatchClosedForm(t *testing.T) {
 			if !out.Result.Converged {
 				t.Errorf("p=%d: solver did not converge", p)
 			}
+			pr := out.Problem
 			nt := int64(cfg.Opt.Nt)
-			e, g, m := int64(out.Problem.StateSolves), int64(out.Problem.AdjointSolves), int64(out.Problem.Matvecs)
-			want := e*(3+nt) + g*(3+1+nt) + m*3*nt + (3 + 3*nt + 1)
+			e, g, m, pc := int64(pr.StateSolves), int64(pr.AdjointSolves), int64(pr.Matvecs), int64(pr.PrecApplies)
+			want := e*(3+nt) + g*(3+1+nt) + m*2*nt + (3*nt + 1)
 			if got := out.Counts.InterpSweeps; got != want {
 				t.Errorf("p=%d: %d interpolation sweeps, closed form %d (E=%d G=%d M=%d nt=%d)", p, got, want, e, g, m, nt)
+			}
+			wantFFT := 6*e + (4*nt+4)*g + 4 + 6*m + 6*pc + 12
+			if got := out.Counts.FFTs; got != wantFFT {
+				t.Errorf("p=%d: %d FFTs, closed form %d (E=%d G=%d M=%d P=%d nt=%d)", p, got, wantFFT, e, g, m, pc, nt)
 			}
 			return nil
 		})

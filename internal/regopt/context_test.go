@@ -12,7 +12,9 @@ import (
 // interpolation sweeps (non-solenoidal, Gauss-Newton): an objective
 // evaluation the optimizer never asks the gradient of pays for the forward
 // plan and the state solve only; the gradient adds the adjoint half of the
-// context exactly once; a Hessian matvec builds nothing.
+// context exactly once; a Hessian matvec builds nothing and interpolates
+// once per step in each of its two sweeps (incremental state, incremental
+// adjoint).
 func TestSweepsPerCallback(t *testing.T) {
 	g := grid.MustNew(12, 12, 12)
 	for _, p := range []int{1, 4} {
@@ -31,8 +33,8 @@ func TestSweepsPerCallback(t *testing.T) {
 			step("Evaluate of the accepted trial", 3+nt, func() { pr.Evaluate(accepted) })
 			var e *Eval
 			step("EvalGradient of the evaluated iterate", 3+1+nt, func() { e = pr.EvalGradient(accepted) })
-			step("HessMatVec", 3*nt, func() { pr.HessMatVec(e, testDirection(pr.Pe)) })
-			step("second HessMatVec", 3*nt, func() { pr.HessMatVec(e, testDirection(pr.Pe)) })
+			step("HessMatVec", 2*nt, func() { pr.HessMatVec(e, testDirection(pr.Pe)) })
+			step("second HessMatVec", 2*nt, func() { pr.HessMatVec(e, testDirection(pr.Pe)) })
 			if ctx := pr.Context(accepted); ctx != e.Ctx {
 				t.Errorf("p=%d: Context of the last evaluated iterate is not the evaluation's", p)
 			}

@@ -98,11 +98,15 @@ type Problem struct {
 	// candidate — the same object — to EvalGradient, which can therefore
 	// reuse the transport solve instead of repeating it.
 	lastEval *Eval
+	// gradRhoT is grad rho(t=0) = grad rho_T, the first state gradient of
+	// every evaluation; rho_T never changes, so it is computed once.
+	gradRhoT [3][]float64
 
 	// Counters used by the reports and the performance model.
 	StateSolves   int
 	AdjointSolves int
 	Matvecs       int
+	PrecApplies   int
 }
 
 // New validates the options and builds a problem.
@@ -138,6 +142,10 @@ type Eval struct {
 	RegE   float64 // beta/2 * seminorm
 	G      *field.Vector
 	Gnorm  float64
+
+	// av is A v from the objective's regularization term, held until the
+	// gradient consumes it.
+	av *field.Vector
 
 	// Poisoned marks an evaluation of a non-finite velocity: no transport
 	// was attempted (Ctx is nil), J is +Inf so any line search rejects the
@@ -225,8 +233,8 @@ func (p *Problem) rho1Of(states [][]float64) *field.Scalar {
 // finishObjective fills the objective terms from the state trajectory.
 func (p *Problem) finishObjective(e *Eval) {
 	e.Misfit = p.Opt.dist().Eval(p.rho1Of(e.States), p.RhoR)
-	av := p.regApply(e.V)
-	e.RegE = 0.5 * p.Opt.Beta * av.Dot(e.V)
+	e.av = p.regApply(e.V)
+	e.RegE = 0.5 * p.Opt.Beta * e.av.Dot(e.V)
 	if gamma := p.divGamma(); gamma > 0 {
 		dv := p.Ops.Div(e.V)
 		e.RegE += 0.5 * gamma * dv.Dot(dv)
@@ -260,10 +268,17 @@ func (p *Problem) EvalGradient(v *field.Vector) *Eval {
 	lamT := p.Opt.dist().TerminalAdjoint(p.rho1Of(e.States), p.RhoR)
 	e.Lambdas = p.TS.Adjoint(e.Ctx, lamT)
 	p.AdjointSolves++
-	e.GradRho = p.TS.GradSlices(e.States)
+	if p.gradRhoT[0] == nil {
+		p.gradRhoT = p.TS.GradSlices(e.States[:1])[0]
+	}
+	e.GradRho = append([][3][]float64{p.gradRhoT}, p.TS.GradSlices(e.States[1:])...)
 
 	b := p.accumulateB(e.Lambdas, e.GradRho)
-	g := p.regApply(v)
+	g := e.av // A v of the objective, computed at the same v
+	e.av = nil
+	if g == nil {
+		g = p.regApply(v)
+	}
 	g.Scale(p.Opt.Beta)
 	g.Axpy(1, p.Project(b))
 	if gamma := p.divGamma(); gamma > 0 {
@@ -382,6 +397,7 @@ func (p *Problem) HessMatVec(e *Eval, vt *field.Vector) *field.Vector {
 // mesh-independent Krylov iterations, but conditioning that deteriorates
 // as beta shrinks (Table V).
 func (p *Problem) ApplyPrec(r *field.Vector) *field.Vector {
+	p.PrecApplies++
 	if p.Opt.TwoLevelPrec && p.tl != nil {
 		return p.tl.Apply(r)
 	}

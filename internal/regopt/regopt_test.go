@@ -296,6 +296,42 @@ func TestCountersIncrement(t *testing.T) {
 	})
 }
 
+// TestGradientReusesObjectiveTerms: the gradient takes A v from the
+// objective evaluation and grad rho_T from the first gradient, and gives
+// the same words as recomputing both — also when the optimizer asks twice
+// for the gradient of one iterate (after a failed line search), by which
+// time the evaluation's A v has been consumed.
+func TestGradientReusesObjectiveTerms(t *testing.T) {
+	g := grid.MustNew(12, 12, 12)
+	for _, p := range []int{1, 4} {
+		setup(t, g, p, DefaultOptions(), func(pr *Problem) error {
+			v := testVelocity(pr.Pe)
+			first := pr.EvalGradient(v).G.Clone()
+			again := pr.EvalGradient(v).G
+			// The uncached terms, recomputed here.
+			e := pr.cachedEval(v)
+			want := pr.regApply(v)
+			want.Scale(pr.Opt.Beta)
+			want.Axpy(1, pr.accumulateB(e.Lambdas, pr.TS.GradSlices(e.States)))
+			for d := 0; d < 3; d++ {
+				if !sameWords(first.C[d].Data, want.C[d].Data) || !sameWords(again.C[d].Data, want.C[d].Data) {
+					t.Errorf("p=%d: gradient component %d differs from the recomputed one", p, d)
+				}
+			}
+			return nil
+		})
+	}
+}
+
+func sameWords(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
 func TestDivPenaltyGradientMatchesFiniteDifference(t *testing.T) {
 	g := grid.MustNew(16, 16, 16)
 	opt := Options{Beta: 1e-2, Reg: RegH2, Nt: 4, GaussNewton: true, DivPenalty: 0.5}

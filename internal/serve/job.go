@@ -67,14 +67,30 @@ type JobSpec struct {
 // goroutines, so this caps per-job goroutine fan-out, not machine size.
 const maxTasks = 64
 
+// maxPoints and maxTimeSteps bound a job's storage, which grows with
+// n1*n2*n3 times the time steps (the trajectories of §III-C4). Running out
+// of memory is a fatal error in Go, not a recoverable panic, and a spec is
+// journaled before it is acknowledged, so an unbounded spec would crash
+// the server again on every restart that replays it. 2^25 points admit
+// the paper's 256x300x256 brain grid; 64 steps are 16x the paper's nt = 4.
+const (
+	maxPoints    = 1 << 25
+	maxTimeSteps = 64
+)
+
 // Validate rejects malformed specs before they reach the queue.
 func (s *JobSpec) Validate() error {
+	total := 1
 	for d := 0; d < 3; d++ {
 		if s.N[d] < 4 {
 			return fmt.Errorf("n[%d] = %d below the minimum grid size 4", d, s.N[d])
 		}
+		// total*n > maxPoints, tested without forming the product.
+		if s.N[d] > maxPoints/total {
+			return fmt.Errorf("grid %dx%dx%d exceeds %d points", s.N[0], s.N[1], s.N[2], maxPoints)
+		}
+		total *= s.N[d]
 	}
-	total := s.N[0] * s.N[1] * s.N[2]
 	switch s.Generator {
 	case "synthetic", "brain":
 		if len(s.Template) != 0 || len(s.Reference) != 0 {
@@ -106,6 +122,9 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.Beta < 0 || s.GradTol < 0 || s.MaxNewtonIters < 0 || s.MaxKrylovIters < 0 || s.TimeSteps < 0 {
 		return fmt.Errorf("solver knobs must be non-negative")
+	}
+	if s.TimeSteps > maxTimeSteps {
+		return fmt.Errorf("time_steps = %d above %d", s.TimeSteps, maxTimeSteps)
 	}
 	return nil
 }
@@ -222,7 +241,7 @@ type JobStatus struct {
 	ID           string     `json:"id"`
 	State        JobState   `json:"state"`
 	Error        string     `json:"error,omitempty"`
-	ErrorKind    string     `json:"error_kind,omitempty"` // comm | solver | timeout | shutdown
+	ErrorKind    string     `json:"error_kind,omitempty"` // comm | solver | timeout | shutdown | spec
 	Degradations []string   `json:"degradations,omitempty"`
 	Events       int        `json:"events"`
 	Result       *JobResult `json:"result,omitempty"`

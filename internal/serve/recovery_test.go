@@ -45,6 +45,44 @@ func mustOpen(t *testing.T, cfg Config) *Server {
 	return srv
 }
 
+// TestReplayRevalidatesSpecs: a non-terminal job whose journaled spec breaks
+// a bound of Validate (journaled by a server that did not have the bound)
+// ends failed at restart instead of running, and its terminal record is
+// journaled so the next restart does not see it again.
+func TestReplayRevalidatesSpecs(t *testing.T) {
+	dir := t.TempDir()
+	j, _, _, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := JobSpec{Generator: "synthetic", N: [3]int{8, 8, 8}, TimeSteps: 1 << 40}
+	if err := j.Accepted("job-000001", "", &huge); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv := mustOpen(t, Config{Workers: 1, JournalDir: dir})
+	job, ok := srv.Job("job-000001")
+	if !ok {
+		t.Fatal("replayed job missing")
+	}
+	job.Wait()
+	if st := job.Status(); st.State != JobFailed || st.ErrorKind != "spec" || !strings.Contains(st.Error, "time_steps") {
+		t.Fatalf("replayed out-of-bounds job: state %s kind %q error %q", st.State, st.ErrorKind, st.Error)
+	}
+	srv.Close()
+
+	j, jobs, _, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if len(jobs) != 1 || !jobs[0].Terminal || jobs[0].State != JobFailed {
+		t.Fatalf("failed replay not journaled terminal: %+v", jobs)
+	}
+}
+
 // TestJournalTornTailRecovery pins the framing contract: a crash can tear
 // at most the final line, and a torn tail must neither lose intact records
 // nor corrupt records appended after the restart.

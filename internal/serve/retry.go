@@ -15,6 +15,7 @@ package serve
 //	timeout      no         the budget was the point
 //	(cancel)     no         client intent
 //	shutdown     no         server intent
+//	spec         no         replayed spec breaks a bound of Validate
 //
 // Retryable attempts run with a checkpoint spool (see Config.SpoolDir):
 // attempt N+1 resumes from the last checkpoint attempt N flushed, so a

@@ -619,3 +619,30 @@ func TestSpecErrorWrapping(t *testing.T) {
 		t.Fatalf("spec error message %q", msg)
 	}
 }
+
+// TestValidateBoundsJobSize: specs whose storage cannot be allocated are
+// rejected at admission. Each would otherwise reach the solver (the first
+// because n1*n2*n3 wraps to 0 and matches its empty inline volumes) and
+// end the process in an out-of-memory fatal error, which a journal replay
+// would repeat on every restart.
+func TestValidateBoundsJobSize(t *testing.T) {
+	cases := []struct {
+		name   string
+		spec   JobSpec
+		reason string
+	}{
+		{"points_overflow_int", JobSpec{N: [3]int{2097152, 2097152, 4194304}}, "exceeds"},
+		{"points_too_many", JobSpec{Generator: "synthetic", N: [3]int{4096, 4096, 4096}}, "exceeds"},
+		{"time_steps_too_many", JobSpec{Generator: "synthetic", N: [3]int{8, 8, 8}, TimeSteps: 1099511627776}, "time_steps"},
+	}
+	for _, tc := range cases {
+		err := tc.spec.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s: Validate() = %v, want an error mentioning %q", tc.name, err, tc.reason)
+		}
+	}
+	edge := JobSpec{Generator: "synthetic", N: [3]int{256, 512, 256}, TimeSteps: maxTimeSteps}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("spec at the bounds rejected: %v", err)
+	}
+}

@@ -316,11 +316,17 @@ func Open(cfg Config) (*Server, error) {
 		}
 		if r.Terminal {
 			s.retained = append(s.retained, job.ID)
-		} else {
-			job.onTerminal = s.retireJob
-			s.queue <- job
-			s.journalRecovered++
+			continue
 		}
+		job.onTerminal = s.retireJob
+		if err := job.Spec.Validate(); err != nil {
+			// Journaled before a bound it breaks existed: running it could
+			// take the server down again, so it fails instead.
+			job.finish(JobFailed, nil, "replayed spec rejected: "+err.Error(), "spec", nil)
+			continue
+		}
+		s.queue <- job
+		s.journalRecovered++
 	}
 	s.enforceRetentionLocked() // replayed stubs respect the retention cap too
 	if journal != nil {

@@ -25,9 +25,8 @@ func sameWords(a, b []float64) bool {
 
 // TestContextBuildsHalvesOnFirstUse pins the context economy: NewContext
 // pays for the forward plan only (the three-field gather of the RK2 star
-// points), the adjoint half arrives with the first adjoint step and v at
-// the forward departure points with the first displacement solve, each
-// exactly once.
+// points), the adjoint half arrives with the first adjoint step, exactly
+// once, and a displacement solve builds nothing.
 func TestContextBuildsHalvesOnFirstUse(t *testing.T) {
 	g := grid.MustNew(16, 16, 16)
 	for _, p := range []int{1, 4} {
@@ -56,7 +55,7 @@ func TestContextBuildsHalvesOnFirstUse(t *testing.T) {
 				step("State", nt, func() { s.State(ctx, rho) })
 				step("first Adjoint", 3+div+nt, func() { s.Adjoint(ctx, rho) })
 				step("second Adjoint", nt, func() { s.Adjoint(ctx, rho) })
-				step("first Displacement", 3+3*nt, func() { s.Displacement(ctx) })
+				step("first Displacement", 3*nt, func() { s.Displacement(ctx) })
 				step("second Displacement", 3*nt, func() { s.Displacement(ctx) })
 				return nil
 			})
@@ -85,7 +84,6 @@ func TestLazyContextMatchesEagerContext(t *testing.T) {
 
 			eager := s.NewContext(v, false)
 			eager.adjPlan()
-			eager.vAtFwd()
 			states := s.State(eager, rho)
 			grads := s.GradSlices(states)
 			wantAdj := s.Adjoint(eager, rho)

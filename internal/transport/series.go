@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"diffreg/internal/field"
+	"diffreg/internal/semilag"
 )
 
 // SeriesContext caches the per-interval transport contexts of a
@@ -62,32 +63,7 @@ func (s *Solver) AdjointSeries(sc *SeriesContext, lamT *field.Scalar) [][]float6
 // time-varying velocity and perturbation series vts (one perturbation per
 // interval): d_t rho~ + v_c . grad rho~ = -v~_c . grad rho(t) on interval c.
 func (s *Solver) IncStateSeries(sc *SeriesContext, gradRho [][3][]float64, vts field.Series) [][]float64 {
-	dt := s.Dt()
-	n := s.Pe.LocalTotal()
-	out := make([][]float64, s.Nt+1)
-	cur := make([]float64, n)
-	out[0] = cur
-	f := make([]float64, n)
-	for j := 0; j < s.Nt; j++ {
-		vt := vts[sc.Interval(j)]
-		for i := 0; i < n; i++ {
-			f[i] = -(vt.C[0].Data[i]*gradRho[j][0][i] +
-				vt.C[1].Data[i]*gradRho[j][1][i] +
-				vt.C[2].Data[i]*gradRho[j][2][i])
-		}
-		vals := sc.ctxAt(j).Fwd.InterpMany(cur, f)
-		nu0X, f0X := vals[0], vals[1]
-		next := make([]float64, n)
-		for i := 0; i < n; i++ {
-			fStar := -(vt.C[0].Data[i]*gradRho[j+1][0][i] +
-				vt.C[1].Data[i]*gradRho[j+1][1][i] +
-				vt.C[2].Data[i]*gradRho[j+1][2][i])
-			next[i] = nu0X[i] + 0.5*dt*(f0X[i]+fStar)
-		}
-		cur = next
-		out[j+1] = cur
-	}
-	return out
+	return s.incState(gradRho, func(j int) (*Context, *field.Vector) { return sc.ctxAt(j), vts[sc.Interval(j)] })
 }
 
 // IncAdjointGNSeries solves the Gauss-Newton incremental adjoint backward
@@ -104,22 +80,10 @@ func (s *Solver) IncAdjointGNSeries(sc *SeriesContext, term *field.Scalar) [][]f
 // DisplacementSeries computes the displacement u = y - x of the
 // deformation map generated by the time-varying velocity.
 func (s *Solver) DisplacementSeries(sc *SeriesContext) *field.Vector {
-	dt := s.Dt()
-	n := s.Pe.LocalTotal()
-	u := field.NewVector(s.Pe)
-	for step := 0; step < s.Nt; step++ {
-		ctx := sc.ctxAt(step)
-		vFwdX := ctx.vAtFwd()
-		vals := ctx.Fwd.InterpMany(u.C[0].Data, u.C[1].Data, u.C[2].Data)
-		for d := 0; d < 3; d++ {
-			uNew := make([]float64, n)
-			for i := 0; i < n; i++ {
-				uNew[i] = vals[d][i] - 0.5*dt*(vFwdX[d][i]+ctx.V.C[d].Data[i])
-			}
-			copy(u.C[d].Data, uNew)
-		}
-	}
-	return u
+	return s.displacement(-1, func(j int) (*semilag.Plan, *field.Vector) {
+		ctx := sc.ctxAt(j)
+		return ctx.Fwd, ctx.V
+	})
 }
 
 // AdjointStepSeries advances the adjoint one step backward (from t_{step+1}

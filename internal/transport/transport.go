@@ -15,15 +15,14 @@ import (
 )
 
 // Solver fixes the time discretization: nt uniform steps over [0, 1].
-// It owns reusable scratch for the per-timestep arrays of the transport
-// sweeps, so steady-state solves stop churning the allocator; a Solver is
+// It owns reusable scratch (the interpolation planner and a kept-zero
+// source), so steady-state solves stop churning the allocator; a Solver is
 // therefore owned by one rank goroutine, like the Ops it wraps.
 type Solver struct {
 	Ops *spectral.Ops
 	Pe  *grid.Pencil
 	Nt  int
 
-	stepBuf []float64 // per-component displacement step scratch
 	zeroBuf []float64 // kept-zero source placeholder; never written
 
 	// planner builds every interpolation plan of this solver; it owns the
@@ -48,15 +47,6 @@ func (s *Solver) SetGate(g semilag.Gate) { s.gate = g }
 
 // Dt returns the time step size.
 func (s *Solver) Dt() float64 { return 1 / float64(s.Nt) }
-
-// stepScratch returns the lazily allocated per-step scratch array; callers
-// fully overwrite it before use and never retain it across steps.
-func (s *Solver) stepScratch() []float64 {
-	if s.stepBuf == nil {
-		s.stepBuf = make([]float64, s.Pe.LocalTotal())
-	}
-	return s.stepBuf
-}
 
 // zeroField returns a shared all-zero array for the dropped source terms of
 // solenoidal velocities. It is read-only by contract.
@@ -90,15 +80,14 @@ func (s *Solver) trajectory() [][]float64 {
 
 // Context caches everything that depends only on the velocity field: the
 // departure-point interpolation plans for the forward (+v) and adjoint
-// (-v) directions, div v and its interpolant, and v at the forward
-// departure points. Building it is the paper's "interpolation planner" and
-// happens once per velocity per Newton iteration — and only for the parts
-// a velocity's consumers reach: NewContext builds the forward plan, the
-// adjoint half (Adj plan, div v at its departure points) is built by the
-// first adjoint or incremental-adjoint step, and v at the forward departure
-// points by the first displacement solve. A rejected line-search trial pays
-// for the forward plan alone. The lazy builds are collective; SPMD control
-// flow makes every rank trigger them at the same call.
+// (-v) directions, and div v with its interpolant. Building it is the
+// paper's "interpolation planner" and happens once per velocity per Newton
+// iteration — and only for the parts a velocity's consumers reach:
+// NewContext builds the forward plan, and the adjoint half (Adj plan, div v
+// at its departure points) is built by the first adjoint,
+// incremental-adjoint or inverse-displacement step. A rejected line-search
+// trial pays for the forward plan alone. The lazy build is collective;
+// SPMD control flow makes every rank trigger it at the same call.
 type Context struct {
 	V   *field.Vector
 	Fwd *semilag.Plan // departure points of +v characteristics
@@ -106,13 +95,12 @@ type Context struct {
 	// the transport solves reduce to pure interpolation (§III-C2).
 	Solenoidal bool
 
-	s    *Solver      // the builder: its planner serves the lazy halves
+	s    *Solver      // the builder: its planner serves the lazy half
 	gate semilag.Gate // installed on every plan of this context
 
 	adj      *semilag.Plan // departure points of -v characteristics
 	divV     *field.Scalar
 	divVAdjX []float64 // div v at the adjoint departure points
-	vFwdX    [3][]float64
 }
 
 // NewContext builds the per-velocity caches. solenoidal should be true
@@ -157,19 +145,6 @@ func (ctx *Context) adjPlan() *semilag.Plan {
 		}
 	}
 	return ctx.adj
-}
-
-// vAtFwd returns v at the forward departure points, interpolated on first
-// use.
-func (ctx *Context) vAtFwd() *[3][]float64 {
-	if ctx.vFwdX[0] == nil {
-		v := ctx.V
-		vx := ctx.Fwd.InterpMany(v.C[0].Data, v.C[1].Data, v.C[2].Data)
-		for d := 0; d < 3; d++ {
-			ctx.vFwdX[d] = append([]float64(nil), vx[d]...)
-		}
-	}
-	return &ctx.vFwdX
 }
 
 // State solves the forward transport equation (2b) with initial condition
@@ -250,33 +225,37 @@ func (s *Solver) GradSlices(states [][]float64) [][3][]float64 {
 // d_t rho~ + v . grad rho~ = -v~ . grad rho(t), rho~(0) = 0,
 // returning the trajectory rho~(t_j). gradRho holds grad rho(t_j) from
 // GradSlices. This is Algorithm 2 of the paper with the grid gradients
-// reused instead of recomputed: four interpolations per step (one scalar
-// for rho~, plus the source), and the FFT work hoisted into GradSlices.
+// reused instead of recomputed, so the FFT work is hoisted into
+// GradSlices, and with the source folded into the transported field: one
+// scalar interpolation per step.
 func (s *Solver) IncState(ctx *Context, gradRho [][3][]float64, vt *field.Vector) [][]float64 {
-	dt := s.Dt()
-	n := s.Pe.LocalTotal()
-	out := s.trajectory()
-	cur := out[0]        // zero initial condition (the slab is zeroed)
-	f := s.stepScratch() // f(x, t_j) = -v~ . grad rho(t_j)
+	return s.incState(gradRho, func(int) (*Context, *field.Vector) { return ctx, vt })
+}
+
+// incState is the step loop of IncState and IncStateSeries; at(j) gives
+// the context and perturbation governing the step from t_j to t_{j+1}.
+// The source f = -v~ . grad rho(t) does not depend on rho~, so the RK2
+// step of scheme (7) needs no predictor; the interpolant is linear,
+// I(rho~_j) + dt/2 I(f_j) = I(rho~_j + dt/2 f_j), so the step
+// rho~_{j+1} = I(rho~_j + dt/2 f_j) + dt/2 f_{j+1} takes one sweep, not
+// two.
+func (s *Solver) incState(gradRho [][3][]float64, at func(j int) (*Context, *field.Vector)) [][]float64 {
+	half := 0.5 * s.Dt()
+	out := s.trajectory() // zero initial condition (the slab is zeroed)
 	for j := 0; j < s.Nt; j++ {
-		for i := 0; i < n; i++ {
-			f[i] = -(vt.C[0].Data[i]*gradRho[j][0][i] +
-				vt.C[1].Data[i]*gradRho[j][1][i] +
-				vt.C[2].Data[i]*gradRho[j][2][i])
+		ctx, vt := at(j)
+		v0, v1, v2 := vt.C[0].Data, vt.C[1].Data, vt.C[2].Data
+		g0, g1 := gradRho[j], gradRho[j+1]
+		cur, next := out[j], out[j+1]
+		// next stages the folded field; Interp returns plan scratch, so
+		// next is free to receive the step's result.
+		for i := range next {
+			next[i] = cur[i] - half*(v0[i]*g0[0][i]+v1[i]*g0[1][i]+v2[i]*g0[2][i])
 		}
-		vals := ctx.Fwd.InterpMany(cur, f)
-		nu0X, f0X := vals[0], vals[1]
-		next := out[j+1]
-		for i := 0; i < n; i++ {
-			// f at the arrival point and new time level, using the stored
-			// grad rho(t_{j+1}); the source does not depend on rho~ itself,
-			// so no predictor is needed.
-			fStar := -(vt.C[0].Data[i]*gradRho[j+1][0][i] +
-				vt.C[1].Data[i]*gradRho[j+1][1][i] +
-				vt.C[2].Data[i]*gradRho[j+1][2][i])
-			next[i] = nu0X[i] + 0.5*dt*(f0X[i]+fStar)
+		x := ctx.Fwd.Interp(next)
+		for i := range next {
+			next[i] = x[i] - half*(v0[i]*g1[0][i]+v1[i]*g1[1][i]+v2[i]*g1[2][i])
 		}
-		cur = next
 	}
 	return out
 }
@@ -340,19 +319,33 @@ func (s *Solver) IncAdjointNewton(ctx *Context, lambdas [][]float64, vt *field.V
 // map (eq. 1): d_t u + v . grad u = -v, u(x, 0) = 0. Unlike y itself, u is
 // periodic, so the spectral machinery applies. Returns u at t = 1.
 func (s *Solver) Displacement(ctx *Context) *field.Vector {
-	dt := s.Dt()
-	n := s.Pe.LocalTotal()
+	return s.displacement(-1, func(int) (*semilag.Plan, *field.Vector) { return ctx.Fwd, ctx.V })
+}
+
+// displacement is the step loop of Displacement, DisplacementSeries and
+// InverseDisplacement: d_t u + w . grad u = sign*v with u(x, 0) = 0, where
+// at(j) gives the plan of the w characteristics and v for the step from
+// t_j to t_{j+1}. The source is constant in time, so with the linear
+// interpolant the RK2 step folds to u_{j+1} = I(u_j + sign*dt/2 v) +
+// sign*dt/2 v: one three-field sweep per step, and v is never interpolated.
+func (s *Solver) displacement(sign float64, at func(j int) (*semilag.Plan, *field.Vector)) *field.Vector {
+	h := sign * 0.5 * s.Dt()
 	u := field.NewVector(s.Pe)
-	uNew := s.stepScratch()
-	vFwdX := ctx.vAtFwd()
-	for step := 0; step < s.Nt; step++ {
-		vals := ctx.Fwd.InterpMany(u.C[0].Data, u.C[1].Data, u.C[2].Data)
+	for j := 0; j < s.Nt; j++ {
+		pl, v := at(j)
 		for d := 0; d < 3; d++ {
-			for i := 0; i < n; i++ {
-				// Source f = -v: f0 at the departure point, f* on the grid.
-				uNew[i] = vals[d][i] - 0.5*dt*(vFwdX[d][i]+ctx.V.C[d].Data[i])
+			ud, vd := u.C[d].Data, v.C[d].Data
+			for i := range ud {
+				ud[i] += h * vd[i]
 			}
-			copy(u.C[d].Data, uNew)
+		}
+		// InterpMany returns plan scratch, so u is free to receive the step.
+		vals := pl.InterpMany(u.C[0].Data, u.C[1].Data, u.C[2].Data)
+		for d := 0; d < 3; d++ {
+			ud, vd := u.C[d].Data, v.C[d].Data
+			for i := range ud {
+				ud[i] = vals[d][i] + h*vd[i]
+			}
 		}
 	}
 	return u
@@ -458,33 +451,12 @@ func (s *Solver) MemoryPerRank() int64 {
 
 // InverseDisplacement solves for the displacement of the inverse map
 // y^{-1} = x + uInv: the inverse flow runs the velocity backward, i.e.
-// d_t u + (-v) . grad u = v with u(x, 0) = 0. Composing ApplyMap with u
-// and uInv recovers the original image up to discretization error; the
-// inverse map is what pushes quantities forward (label maps, meshes)
-// while y itself pulls the template back.
+// d_t u + (-v) . grad u = v with u(x, 0) = 0, along the adjoint plan's
+// departure points. Composing ApplyMap with u and uInv recovers the
+// original image up to discretization error; the inverse map is what
+// pushes quantities forward (label maps, meshes) while y itself pulls the
+// template back.
 func (s *Solver) InverseDisplacement(ctx *Context) *field.Vector {
-	dt := s.Dt()
-	n := s.Pe.LocalTotal()
-	// The backward characteristics are the adjoint plan's departure
-	// points; v at those points is needed for the source. The values are
-	// retained across the step loop's interpolations, so they leave the
-	// plan scratch.
 	adj := ctx.adjPlan()
-	vX := adj.InterpMany(ctx.V.C[0].Data, ctx.V.C[1].Data, ctx.V.C[2].Data)
-	var vAdjX [3][]float64
-	for d := 0; d < 3; d++ {
-		vAdjX[d] = append([]float64(nil), vX[d]...)
-	}
-	u := field.NewVector(s.Pe)
-	uNew := s.stepScratch()
-	for step := 0; step < s.Nt; step++ {
-		vals := adj.InterpMany(u.C[0].Data, u.C[1].Data, u.C[2].Data)
-		for d := 0; d < 3; d++ {
-			for i := 0; i < n; i++ {
-				uNew[i] = vals[d][i] + 0.5*dt*(vAdjX[d][i]+ctx.V.C[d].Data[i])
-			}
-			copy(u.C[d].Data, uNew)
-		}
-	}
-	return u
+	return s.displacement(1, func(int) (*semilag.Plan, *field.Vector) { return adj, ctx.V })
 }

@@ -16,7 +16,8 @@
 # .bench_build/ (ignored by git; not a worktree, so nothing is registered in
 # .git); the change is the working tree the script is started from. Runs in
 # the foreground only; on any exit the trap kills every process the script
-# started and removes the base tree.
+# started, removes the base tree, and exits non-zero naming any process that
+# survived.
 #
 # Usage: scripts/ab-pairs.sh <base-ref> <workload> [pairs=10] [first-seed=1]
 set -euo pipefail
@@ -43,6 +44,16 @@ cleanup() {
     pkill -KILL -f "$base/" 2>/dev/null || true
     pkill -KILL -f "$root/.bench_build/(benchmark|regserve)" 2>/dev/null || true
     rm -rf "$base" "$out"
+    # A survivor would keep loading the box after the script returns, so
+    # name it and fail instead of returning quietly.
+    sleep 1
+    local left
+    left=$(pgrep -af "$base/|$root/.bench_build/(benchmark|regserve)" || true)
+    if [ -n "$left" ]; then
+        echo "ab-pairs: processes survived cleanup:" >&2
+        echo "$left" >&2
+        exit 1
+    fi
 }
 trap cleanup EXIT
 trap 'exit 130' INT TERM
