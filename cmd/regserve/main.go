@@ -5,10 +5,8 @@
 //
 //	regserve -addr :8080 -workers 4 -queue 16 -cache 8 -timeout 10m
 //
-// With -max-batch N > 1 the server fuses queued same-shape jobs into one
-// solver pass (see README, "Multi-job fusion"); -batch-window tunes how
-// long a job waits for companions. -pprof ADDR serves net/http/pprof on a
-// separate listener.
+// Each job runs as one distributed solve on one worker. -pprof ADDR
+// serves net/http/pprof on a separate listener.
 //
 // Durability (see README, "Durability and retries"): -journal DIR enables
 // the write-ahead job journal — kill the process, restart it with the
@@ -51,8 +49,6 @@ func main() {
 	cache := flag.Int("cache", 0, "plan-cache capacity in operator-set collections (0 = 2*workers, negative disables)")
 	timeout := flag.Duration("timeout", 0, "default per-job cooperative timeout (0 = none)")
 	pool := flag.Int("pool", 0, "shared-memory worker pool size (0 = GOMAXPROCS)")
-	maxBatch := flag.Int("max-batch", 1, "fuse up to this many same-shape jobs into one solver pass (<= 1 disables fusion)")
-	batchWindow := flag.Duration("batch-window", 25*time.Millisecond, "how long a fusable job waits for same-shape companions")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	journal := flag.String("journal", "", "write-ahead job journal directory (empty disables; restart with the same directory to recover)")
 	spool := flag.String("spool", "", "checkpoint spool directory for retryable jobs (default JOURNAL/spool when -journal and -retries are on)")
@@ -74,8 +70,6 @@ func main() {
 		QueueDepth:     *queue,
 		CacheEntries:   *cache,
 		DefaultTimeout: *timeout,
-		MaxBatch:       *maxBatch,
-		BatchWindow:    *batchWindow,
 		JournalDir:     *journal,
 		SpoolDir:       *spool,
 		Retry:          serve.RetryPolicy{MaxAttempts: *retries, Backoff: *retryBackoff},

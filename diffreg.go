@@ -202,29 +202,15 @@ type PlanLease interface {
 	Release()
 }
 
-// BatchPlanLease is a lease over slots operator-set slots per rank, the
-// checkout shape of a fused multi-job solve: slot j < B belongs to job
-// j's fiber and the final slot is the scheduler's fused executor. A
-// plain lease's Ops/Put address slot 0.
-type BatchPlanLease interface {
-	PlanLease
-	OpsSlot(rank, slot int) *spectral.Ops
-	PutSlot(rank, slot int, ops *spectral.Ops)
-}
-
 // PlanSource hands out plan leases; implemented by the job server's
 // PlanCache. Acquire never blocks on a busy cache — it returns a miss
 // lease instead, so concurrent same-shape jobs each get exclusive sets.
 // precision is the canonical precision string ("float64" or "float32")
 // the solve will run at; cached operator sets bake their wire format into
 // their workspaces, so an implementation must never hand a lease built at
-// one precision to a solve requesting the other. slots is the number of
-// operator sets per rank the checkout needs: 1 for a solo solve, B+1 for
-// a fused batch of B jobs (fused arenas are sized for 3·B-field
-// transforms, so entries must be keyed by slots — a singleton job must
-// never check out a fused batch's arena, and vice versa).
+// one precision to a solve requesting the other.
 type PlanSource interface {
-	Acquire(n [3]int, tasks int, precision string, slots int) PlanLease
+	Acquire(n [3]int, tasks int, precision string) PlanLease
 }
 
 // Checkpointable reports whether this configuration supports
@@ -302,14 +288,8 @@ type Result struct {
 
 	// InterpMsgs and InterpBytes count this rank's interpolation-phase
 	// point-to-point traffic (ghost halos plus scattered-value returns).
-	// FusedInterpExchanges counts cross-job fused gather exchanges and
-	// FusedInterpJobs the job requests they carried; both are zero for
-	// solo solves, and Jobs/Exchanges is the achieved job-axis batching
-	// factor of a fused one.
-	InterpMsgs           int64
-	InterpBytes          int64
-	FusedInterpExchanges int64
-	FusedInterpJobs      int64
+	InterpMsgs  int64
+	InterpBytes int64
 
 	// History records the outer-iteration convergence trace.
 	History []IterationRecord
@@ -424,7 +404,7 @@ func Register(template, reference Volume, cfg Config) (*Result, error) {
 
 	var lease PlanLease
 	if cfg.Plans != nil {
-		if lease = cfg.Plans.Acquire(template.N, cfg.Tasks, precision.String(), 1); lease != nil {
+		if lease = cfg.Plans.Acquire(template.N, cfg.Tasks, precision.String()); lease != nil {
 			defer lease.Release()
 		}
 	}

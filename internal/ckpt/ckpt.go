@@ -253,8 +253,17 @@ func Load(path string) (*State, error) {
 	st.GnormInit = d.f64()
 	st.Seed = d.i64()
 	nh := d.i64()
-	total := int64(st.N[0]) * int64(st.N[1]) * int64(st.N[2])
-	if d.err == nil && (nh < 0 || nh > 1<<20 || total <= 0 || total > 1<<34) {
+	// Every dimension is at least 1 and the point count at most 2^34,
+	// checked factor by factor so the product cannot overflow.
+	total, dimsOK := int64(1), true
+	for _, n := range st.N {
+		if n < 1 || int64(n) > (1<<34)/total {
+			dimsOK = false
+			break
+		}
+		total *= int64(n)
+	}
+	if d.err == nil && (nh < 0 || nh > 1<<20 || !dimsOK) {
 		return nil, &FormatError{path, fmt.Sprintf("implausible header (dims %v, %d history records)", st.N, nh)}
 	}
 	for i := int64(0); i < nh && d.err == nil; i++ {
@@ -273,6 +282,11 @@ func Load(path string) (*State, error) {
 		n := d.i64()
 		if n != total {
 			return nil, &FormatError{path, fmt.Sprintf("velocity component %d has %d values, want %d", c, n, total)}
+		}
+		// A corrupt header can claim any size: allocate only what the file
+		// holds.
+		if d.err == nil && 8*n > int64(d.r.Len()) {
+			return nil, &FormatError{path, fmt.Sprintf("velocity component %d claims %d values but only %d bytes remain", c, n, d.r.Len())}
 		}
 		st.V[c] = make([]float64, n)
 		if d.err == nil {

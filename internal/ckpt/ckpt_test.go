@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -112,13 +113,20 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		"short":     raw[:10],
 	}
 	cases["bitflip"][len(raw)/2] ^= 0x10
+	// Checksum-valid headers whose sizes the file does not back: 2048^3
+	// points in a 132-byte file (allocating the claimed velocity would
+	// take 64 GB), and dims that multiply to a plausible count but are
+	// not all positive.
+	cases["hugedims"] = crafted([3]int64{2048, 2048, 2048}, 2048*2048*2048, 0, true)
+	cases["negdims"] = crafted([3]int64{-1, -1, 1}, 1, 3, false)
 	for name, data := range cases {
 		p := filepath.Join(dir, name)
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(p); err == nil {
-			t.Errorf("%s: corrupted checkpoint loaded without error", name)
+		var ferr *FormatError
+		if _, err := Load(p); !errors.As(err, &ferr) {
+			t.Errorf("%s: got %v, want *FormatError", name, err)
 		}
 	}
 
@@ -194,6 +202,34 @@ func TestLoadRejectsUnknownPrecisionCode(t *testing.T) {
 	}
 }
 
+// crafted returns a checksum-valid file holding a header with the given
+// dims and no history, then comps velocity components of count values
+// each, and then, if claim is set, one more count with no values behind it.
+func crafted(n [3]int64, count int64, comps int, claim bool) []byte {
+	body := append([]byte(magic), byte(Version), 0, 0, 0)
+	le := func(v int64) {
+		for i := 0; i < 8; i++ {
+			body = append(body, byte(uint64(v)>>(8*i)))
+		}
+	}
+	for _, d := range n {
+		le(d)
+	}
+	for i := 0; i < 10; i++ { // Tasks .. Seed and the history count: zero
+		le(0)
+	}
+	for c := 0; c < comps; c++ {
+		le(count)
+		for i := int64(0); i < count; i++ {
+			le(0)
+		}
+	}
+	if claim {
+		le(count)
+	}
+	return appendCRC(body)
+}
+
 func appendCRC(body []byte) []byte {
 	sum := crc64.Checksum(body, crcTable)
 	out := append([]byte{}, body...)
@@ -201,4 +237,54 @@ func appendCRC(body []byte) []byte {
 		out = append(out, byte(sum>>(8*i)))
 	}
 	return out
+}
+
+// FuzzLoad feeds arbitrary bytes to Load, both as given and with the
+// trailing checksum recomputed so the decoder past the CRC check is
+// reached. Load must return a *FormatError, or a state that Save writes
+// back to exactly the bytes it was read from.
+func FuzzLoad(f *testing.F) {
+	dir := f.TempDir()
+	path := filepath.Join(dir, "seed.ckpt")
+	if err := Save(path, sample()); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(crafted([3]int64{2048, 2048, 2048}, 2048*2048*2048, 0, true))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inputs := [][]byte{data}
+		if len(data) >= 8 {
+			inputs = append(inputs, appendCRC(data[:len(data)-8]))
+		}
+		dir := t.TempDir()
+		for i, in := range inputs {
+			p := filepath.Join(dir, fmt.Sprintf("in%d.ckpt", i))
+			if err := os.WriteFile(p, in, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := Load(p)
+			if err != nil {
+				var ferr *FormatError
+				if !errors.As(err, &ferr) {
+					t.Fatalf("untyped error %T: %v", err, err)
+				}
+				continue
+			}
+			out := filepath.Join(dir, "resaved.ckpt")
+			if err := Save(out, st); err != nil {
+				t.Fatalf("loaded state does not save: %v", err)
+			}
+			back, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(back, in) {
+				t.Fatalf("round trip changed the file: %d bytes in, %d out", len(in), len(back))
+			}
+		}
+	})
 }

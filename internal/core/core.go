@@ -157,13 +157,8 @@ type Counts struct {
 	// InterpMsgs/InterpBytes count the point-to-point messages and bytes
 	// received in the interpolation-communication phase (ghost-halo
 	// exchanges plus scattered-value returns) on this rank.
-	// FusedInterpExchanges counts cross-job fused gather exchanges and
-	// FusedInterpJobs the job requests they carried — Jobs/Exchanges is
-	// the achieved job-axis batching factor (zero for solo solves).
-	InterpMsgs           int64
-	InterpBytes          int64
-	FusedInterpExchanges int64
-	FusedInterpJobs      int64
+	InterpMsgs  int64
+	InterpBytes int64
 }
 
 // Outcome is the result of one registration solve on the calling rank.

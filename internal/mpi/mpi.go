@@ -259,16 +259,6 @@ type Stats struct {
 	InterpSweeps int64 // off-grid interpolation passes over a field
 	InterpPoints int64 // tricubic point evaluations
 
-	// FusedInterpExchanges counts cross-job fused gather exchanges (one
-	// batched halo + value return carrying several jobs' payloads);
-	// FusedInterpJobs and FusedInterpFields record the job requests and
-	// field payloads they carried. Jobs/Exchanges is the achieved
-	// job-axis batching factor of the interpolation (0 exchanges on solo
-	// paths).
-	FusedInterpExchanges int64
-	FusedInterpJobs      int64
-	FusedInterpFields    int64
-
 	// Alltoalls counts all-to-all collective invocations (any payload
 	// type); each fused pencil transpose issues exactly one, however many
 	// fields it carries, so this is the latency-term counter of the
@@ -484,14 +474,6 @@ func (c *Comm) CountFFTs(n int) { c.stats.FFTs += int64(n) }
 func (c *Comm) CountInterp(n int64) {
 	c.stats.InterpSweeps++
 	c.stats.InterpPoints += n
-}
-
-// CountFusedInterp records one cross-job fused gather exchange carrying
-// the given number of job requests and field payloads.
-func (c *Comm) CountFusedInterp(jobs, fields int) {
-	c.stats.FusedInterpExchanges++
-	c.stats.FusedInterpJobs += int64(jobs)
-	c.stats.FusedInterpFields += int64(fields)
 }
 
 // CountTranspose records one communicating pencil-transpose stage carrying

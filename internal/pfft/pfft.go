@@ -286,14 +286,6 @@ func (pl *Plan) ensureBatch(b int) {
 	ws.fields = b
 }
 
-// WarmBatch pre-sizes the transpose arena for b-field transforms so a
-// subsequent ForwardBatchInto/InverseBatchInto of that width allocates
-// nothing. Used by the job-fusion path to prepare a plan for fields ×
-// jobs batches before the solve starts.
-func (pl *Plan) WarmBatch(b int) {
-	pl.ensureBatch(b)
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

@@ -58,19 +58,12 @@ func (g *Ghost) MaxBlockLen() int {
 	return rb
 }
 
-// Halo exchange tags. Solo pads use 101-104; the batched (cross-job
-// fused) exchange uses 111-114 so its concatenated payloads can never be
-// confused with a solo exchange on the same communicator pair.
+// Halo exchange tags.
 const (
 	tagRowUp    = 101
 	tagRowDown  = 102
 	tagColRight = 103
 	tagColLeft  = 104
-
-	tagBatchRowUp    = 111
-	tagBatchRowDown  = 112
-	tagBatchColRight = 113
-	tagBatchColLeft  = 114
 )
 
 // interiorInto copies the local field into the interior of the padded

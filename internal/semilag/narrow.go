@@ -30,7 +30,7 @@ func (pl *Plan) interpMany32(fields [][]float64) [][]float64 {
 	}
 	vals := g.valsFor(pl, nf)
 	t0 := time.Now()
-	g.gather(pl, pads, vals, nil)
+	g.gather(pl, pads, vals)
 	pe.Comm.AddExec(mpi.PhaseInterpExec, time.Since(t0).Seconds())
 	back := vals
 	if p > 1 {

@@ -82,18 +82,12 @@ type Plan struct {
 	// plan, for the performance model.
 	Evals int64
 
-	// gate, when set, offers each InterpMany to a cross-job batch
-	// scheduler before running the solo exchange (see batch.go).
-	gate Gate
-
 	// ws is the build and gather scratch: the planner's, shared by every
 	// plan it builds, or the plan's own for a plan built by NewPlanPrec.
 	ws *workspace
 
-	// Plan-owned buffers: the fields of a gated call, and the outputs
-	// InterpMany returns.
-	outsScr   [][]float64
-	fieldsScr [][]float64
+	// outsScr holds the plan-owned outputs InterpMany returns.
+	outsScr [][]float64
 }
 
 // workspace is the scratch of the scatter and of the hot interpolation
@@ -145,23 +139,18 @@ func (g *gatherScratch[T]) valsFor(pl *Plan, nf int) [][]T {
 }
 
 // gather evaluates every point the plan received against the padded fields,
-// writing source rank r's values field-major at vals[r][offs[r]:] (offs nil
-// means offset zero). It is the one gather of the package: the solo
-// exchanges and the fused batch executor both come through here, so Evals
-// and the pooled sweep are shared.
-func (g *gatherScratch[T]) gather(pl *Plan, pads, vals [][]T, offs []int) {
+// writing source rank r's values field-major into vals[r]. It is the one
+// gather of the package: both precisions' exchanges come through here, so
+// Evals and the pooled sweep are shared.
+func (g *gatherScratch[T]) gather(pl *Plan, pads, vals [][]T) {
 	if g.fn == nil {
 		g.fn = func(_, lo, hi int) { g.sweep.gather(lo, hi) }
 	}
 	pd := pl.Ghost.PaddedDims()
 	for r := range pl.origIdx {
 		npts := len(pl.origIdx[r])
-		off := 0
-		if offs != nil {
-			off = offs[r]
-		}
 		g.sweep = sweepState[T]{
-			pads: pads, vals: vals[r][off : off+len(pads)*npts],
+			pads: pads, vals: vals[r][:len(pads)*npts],
 			frac: pl.recvPts[r], cells: pl.cells[r], orig: pl.origIdx[r],
 			stride1: pd[1] * pd[2], n3: pd[2],
 		}
@@ -478,27 +467,15 @@ func wrapCoord(x float64, n int) float64 {
 //
 // The returned slices are plan-owned scratch, valid until the next
 // Interp/InterpMany call on this plan: callers that keep results across
-// calls must copy them. With a gate installed (SetGate) the call is first
-// offered to the cross-job batch scheduler; a declined offer falls back to
-// the solo exchange below, bit-identically.
+// calls must copy them.
 func (pl *Plan) InterpMany(fields ...[]float64) [][]float64 {
-	if pl.gate != nil {
-		// Stage the fields in plan scratch so the variadic argument slice
-		// does not leak into the call struct — keeping ungated call sites
-		// allocation-free.
-		pl.fieldsScr = append(pl.fieldsScr[:0], fields...)
-		call := BatchCall{Plan: pl, Fields: pl.fieldsScr}
-		if pl.gate(&call) {
-			return call.Outs
-		}
-	}
 	if pl.precision == prec.F32 {
 		return pl.interpMany32(fields)
 	}
 	return pl.interpMany64(fields)
 }
 
-// interpMany64 is the solo reference-precision exchange.
+// interpMany64 is the reference-precision exchange.
 func (pl *Plan) interpMany64(fields [][]float64) [][]float64 {
 	pe := pl.Pe
 	p := pe.Comm.Size()
@@ -513,7 +490,7 @@ func (pl *Plan) interpMany64(fields [][]float64) [][]float64 {
 	}
 	vals := g.valsFor(pl, nf)
 	t0 := time.Now()
-	g.gather(pl, pads, vals, nil)
+	g.gather(pl, pads, vals)
 	pe.Comm.AddExec(mpi.PhaseInterpExec, time.Since(t0).Seconds())
 	// Return the values to the ranks that asked for them. A size-1
 	// communicator owns every value already, so the (allocating) self-copy
@@ -565,11 +542,6 @@ func NewPlanner(pe *grid.Pencil, pr prec.Precision) *Planner {
 	pn.star = newPlan(pe, pr, &pn.ws)
 	return pn
 }
-
-// SetGate installs (or clears, with nil) a batch gate on the star-point
-// plan, so the RK2 velocity interpolation can join a cross-job fused
-// exchange.
-func (pn *Planner) SetGate(g Gate) { pn.star.SetGate(g) }
 
 // NewPlan builds a plan for the given query points (see NewPlan) on the
 // planner's scratch.

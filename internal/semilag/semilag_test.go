@@ -9,6 +9,8 @@ import (
 	"diffreg/internal/grid"
 	"diffreg/internal/interp"
 	"diffreg/internal/mpi"
+	"diffreg/internal/par"
+	"diffreg/internal/prec"
 )
 
 func globalRandom(n [3]int, seed int64) []float64 {
@@ -380,5 +382,51 @@ func TestPlanReuseCountersAndValues(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randomPoints builds an off-grid query cloud, decorrelated by seed.
+func randomPoints(g grid.Grid, nq int, seed int64) [3][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	var pts [3][]float64
+	for d := 0; d < 3; d++ {
+		pts[d] = make([]float64, nq)
+		for q := range pts[d] {
+			pts[d][q] = rng.Float64() * float64(g.N[d])
+		}
+	}
+	return pts
+}
+
+// TestInterpManyZeroAllocs gates the plan-owned scratch: after warmup, a
+// reused plan's InterpMany performs zero heap allocations at one rank in
+// either precision (multi-rank runs still allocate inside the in-process
+// point-to-points, which model real MPI receive buffers anyway).
+func TestInterpManyZeroAllocs(t *testing.T) {
+	defer par.SetWorkers(par.SetWorkers(1))
+	g := grid.MustNew(12, 10, 8)
+	f1 := globalRandom(g.N, 4)
+	f2 := globalRandom(g.N, 5)
+	f3 := globalRandom(g.N, 6)
+	for _, pr := range []prec.Precision{prec.F64, prec.F32} {
+		_, err := mpi.Run(1, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
+			pe, err := grid.NewPencil(g, c)
+			if err != nil {
+				return err
+			}
+			l1, l2, l3 := localOf(pe, f1), localOf(pe, f2), localOf(pe, f3)
+			pl := NewPlanPrec(pe, randomPoints(g, 200, 9), pr)
+			pl.InterpMany(l1, l2, l3) // warm the scratch
+			allocs := testing.AllocsPerRun(10, func() {
+				pl.InterpMany(l1, l2, l3)
+			})
+			if allocs != 0 {
+				t.Errorf("%v: InterpMany allocates %v times per run, want 0", pr, allocs)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", pr, err)
+		}
 	}
 }

@@ -21,13 +21,6 @@ type planKey struct {
 	N         [3]int
 	Tasks     int
 	Precision string // canonical prec string: "float64" | "float32"
-	// Slots is the per-rank operator-set count of the checkout shape: 1
-	// for solo jobs, B+1 for a fused batch of B jobs (B fiber sets plus
-	// the scheduler's executor). It is part of the key because fused
-	// executors carry transpose arenas sized for 3·B-field batches —
-	// a singleton job must never check out a fused batch's arena, and a
-	// fused batch must never receive a solo-sized one.
-	Slots int
 }
 
 // planEntry is one retained per-rank operator-set collection. refs > 0
@@ -35,7 +28,7 @@ type planKey struct {
 // skips it no matter how far over capacity the cache is.
 type planEntry struct {
 	key     planKey
-	ops     [][]*spectral.Ops // [rank][slot]
+	ops     []*spectral.Ops // [rank]
 	refs    int
 	lastUse uint64 // LRU clock tick of the last acquire/release
 }
@@ -80,14 +73,11 @@ func NewPlanCache(capacity int) *PlanCache {
 // string diffreg passes ("float64" or "float32"); it used to be hardcoded
 // to a single value here, which made the precision keying vestigial and
 // would have handed float32 jobs entries built at float64.
-func (pc *PlanCache) Acquire(n [3]int, tasks int, precision string, slots int) diffreg.PlanLease {
+func (pc *PlanCache) Acquire(n [3]int, tasks int, precision string) diffreg.PlanLease {
 	if precision == "" {
 		precision = "float64"
 	}
-	if slots <= 0 {
-		slots = 1
-	}
-	key := planKey{N: n, Tasks: tasks, Precision: precision, Slots: slots}
+	key := planKey{N: n, Tasks: tasks, Precision: precision}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	pc.clock++
@@ -104,11 +94,7 @@ func (pc *PlanCache) Acquire(n [3]int, tasks int, precision string, slots int) d
 		return &planLease{pc: pc, entry: best}
 	}
 	pc.misses++
-	fresh := make([][]*spectral.Ops, tasks)
-	for r := range fresh {
-		fresh[r] = make([]*spectral.Ops, slots)
-	}
-	return &planLease{pc: pc, key: key, fresh: fresh}
+	return &planLease{pc: pc, key: key, fresh: make([]*spectral.Ops, tasks)}
 }
 
 // Stats returns a snapshot of the counters.
@@ -150,45 +136,31 @@ func (pc *PlanCache) evictLocked() {
 }
 
 // planLease is one job's checkout. Exactly one of entry (hit) or fresh
-// (miss) is active. Put writes distinct rank slots from distinct rank
+// (miss) is active. Put writes distinct ranks' entries from distinct rank
 // goroutines, which needs no lock; Release is called once, from the job's
 // submitting goroutine, after the mpi world has fully unwound.
 type planLease struct {
 	pc       *PlanCache
-	entry    *planEntry        // hit: the pinned cache entry
-	key      planKey           // miss: the key the donation installs under
-	fresh    [][]*spectral.Ops // miss: per-rank, per-slot donations
+	entry    *planEntry      // hit: the pinned cache entry
+	key      planKey         // miss: the key the donation installs under
+	fresh    []*spectral.Ops // miss: per-rank donations
 	released bool
 }
 
-// Ops returns the cached operator set for a rank (slot 0), nil on a miss.
-func (l *planLease) Ops(rank int) *spectral.Ops { return l.OpsSlot(rank, 0) }
-
-// Put donates the operator set a missing rank built (slot 0).
-func (l *planLease) Put(rank int, ops *spectral.Ops) { l.PutSlot(rank, 0, ops) }
-
-// OpsSlot returns the cached operator set of one slot of a rank's fused
-// checkout, nil on a miss. Implements diffreg.BatchPlanLease.
-func (l *planLease) OpsSlot(rank, slot int) *spectral.Ops {
+// Ops returns the cached operator set for a rank, nil on a miss.
+func (l *planLease) Ops(rank int) *spectral.Ops {
 	if l.entry == nil || rank < 0 || rank >= len(l.entry.ops) {
 		return nil
 	}
-	if slot < 0 || slot >= len(l.entry.ops[rank]) {
-		return nil
-	}
-	return l.entry.ops[rank][slot]
+	return l.entry.ops[rank]
 }
 
-// PutSlot donates one slot of a missing rank's fused checkout. No-op on
-// a hit.
-func (l *planLease) PutSlot(rank, slot int, ops *spectral.Ops) {
+// Put donates the operator set a missing rank built. No-op on a hit.
+func (l *planLease) Put(rank int, ops *spectral.Ops) {
 	if l.entry != nil || rank < 0 || rank >= len(l.fresh) {
 		return
 	}
-	if slot < 0 || slot >= len(l.fresh[rank]) {
-		return
-	}
-	l.fresh[rank][slot] = ops
+	l.fresh[rank] = ops
 }
 
 // Hit reports whether this lease came from a cached entry.
@@ -212,11 +184,9 @@ func (l *planLease) Release() {
 		l.entry.lastUse = pc.clock
 	} else if pc.capacity > 0 {
 		complete := len(l.fresh) > 0
-		for _, rankSlots := range l.fresh {
-			for _, o := range rankSlots {
-				if o == nil {
-					complete = false
-				}
+		for _, o := range l.fresh {
+			if o == nil {
+				complete = false
 			}
 		}
 		if complete {

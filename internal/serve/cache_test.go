@@ -27,7 +27,7 @@ func dummyOps(tasks int) []*spectral.Ops {
 // the public miss-lease path and returns the donated sets.
 func install(t *testing.T, pc *PlanCache, n [3]int, tasks int) []*spectral.Ops {
 	t.Helper()
-	lease := pc.Acquire(n, tasks, "float64", 1).(*planLease)
+	lease := pc.Acquire(n, tasks, "float64").(*planLease)
 	if lease.Hit() {
 		t.Fatalf("expected a miss for %v/%d", n, tasks)
 	}
@@ -44,7 +44,7 @@ func TestPlanCacheMissThenHit(t *testing.T) {
 	n := [3]int{16, 16, 16}
 	donated := install(t, pc, n, 4)
 
-	lease := pc.Acquire(n, 4, "float64", 1).(*planLease)
+	lease := pc.Acquire(n, 4, "float64").(*planLease)
 	if !lease.Hit() {
 		t.Fatalf("second acquire of the same key should hit: %+v", pc.Stats())
 	}
@@ -72,7 +72,7 @@ func TestPlanCacheKeySeparatesShapeAndTasks(t *testing.T) {
 		{[3]int{16, 16, 16}, 2}, // same grid, different world size
 		{[3]int{20, 16, 16}, 4}, // different grid, same world size
 	} {
-		if l := pc.Acquire(probe.n, probe.tasks, "float64", 1).(*planLease); l.Hit() {
+		if l := pc.Acquire(probe.n, probe.tasks, "float64").(*planLease); l.Hit() {
 			t.Fatalf("acquire %v/%d must miss: key collision", probe.n, probe.tasks)
 		} else {
 			l.Release()
@@ -93,7 +93,7 @@ func TestPlanCachePrecisionKeying(t *testing.T) {
 
 	// Same shape at float32 must miss — this fails on the unfixed path,
 	// which would hand over the float64 entry.
-	narrowLease := pc.Acquire(n, 4, "float32", 1).(*planLease)
+	narrowLease := pc.Acquire(n, 4, "float32").(*planLease)
 	if narrowLease.Hit() {
 		t.Fatal("float32 acquire hit a float64 entry: precision is not part of the effective key")
 	}
@@ -112,7 +112,7 @@ func TestPlanCachePrecisionKeying(t *testing.T) {
 		{"float64", wide},
 		{"", wide}, // empty normalizes to the float64 default
 	} {
-		l := pc.Acquire(n, 4, tc.precision, 1).(*planLease)
+		l := pc.Acquire(n, 4, tc.precision).(*planLease)
 		if !l.Hit() {
 			t.Fatalf("precision %q: expected hit, stats %+v", tc.precision, pc.Stats())
 		}
@@ -128,92 +128,18 @@ func TestPlanCachePrecisionKeying(t *testing.T) {
 	}
 }
 
-// TestPlanCacheBatchWidthKeying is the fused-checkout regression test,
-// the batch-axis sibling of TestPlanCachePrecisionKeying: the per-rank
-// slot count (1 for solo jobs, B+1 for a fused batch of B) must be part
-// of the effective key. A solo job that checked out a fused entry would
-// drag a 3·(B+1)-field transpose arena around; a fused batch handed a
-// solo entry would find no executor slot at all.
-func TestPlanCacheBatchWidthKeying(t *testing.T) {
-	pc := NewPlanCache(8)
-	n := [3]int{16, 16, 16}
-	solo := install(t, pc, n, 2) // installs under slots=1
-
-	// Same (n, tasks, precision) at batch width 4+1 must miss.
-	wideLease := pc.Acquire(n, 2, "float64", 5).(*planLease)
-	if wideLease.Hit() {
-		t.Fatal("slots=5 acquire hit a slots=1 entry: batch width is not part of the effective key")
-	}
-	// Donate all 2 ranks x 5 slots and check the round-trip.
-	wide := make([][]*spectral.Ops, 2)
-	for r := range wide {
-		wide[r] = make([]*spectral.Ops, 5)
-		for sl := range wide[r] {
-			wide[r][sl] = &spectral.Ops{}
-			wideLease.PutSlot(r, sl, wide[r][sl])
-		}
-	}
-	wideLease.Release()
-
-	// Both widths resident: each acquire returns its own entry, slot for
-	// slot.
-	wl := pc.Acquire(n, 2, "float64", 5).(*planLease)
-	if !wl.Hit() {
-		t.Fatalf("slots=5 reacquire should hit: %+v", pc.Stats())
-	}
-	for r := 0; r < 2; r++ {
-		for sl := 0; sl < 5; sl++ {
-			if wl.OpsSlot(r, sl) != wide[r][sl] {
-				t.Fatalf("rank %d slot %d: wrong operator set", r, sl)
-			}
-		}
-		if wl.OpsSlot(r, 5) != nil {
-			t.Fatalf("rank %d: out-of-range slot must return nil", r)
-		}
-	}
-	wl.Release()
-	sl := pc.Acquire(n, 2, "float64", 1).(*planLease)
-	if !sl.Hit() {
-		t.Fatalf("slots=1 reacquire should hit: %+v", pc.Stats())
-	}
-	for r := 0; r < 2; r++ {
-		if sl.Ops(r) != solo[r] {
-			t.Fatalf("rank %d: solo acquire got a non-solo entry", r)
-		}
-	}
-	sl.Release()
-	if st := pc.Stats(); st.Entries != 2 {
-		t.Fatalf("expected one entry per batch width: %+v", st)
-	}
-
-	// An incomplete fused donation (one slot never Put) is discarded.
-	gap := pc.Acquire(n, 4, "float64", 3).(*planLease)
-	for r := 0; r < 4; r++ {
-		for slot := 0; slot < 3; slot++ {
-			if r == 2 && slot == 1 {
-				continue
-			}
-			gap.PutSlot(r, slot, &spectral.Ops{})
-		}
-	}
-	gap.Release()
-	if st := pc.Stats(); st.Entries != 2 {
-		t.Fatalf("incomplete fused donation must be discarded: %+v", st)
-	}
-}
-
 func TestPlanCacheCheckoutIsExclusive(t *testing.T) {
 	pc := NewPlanCache(4)
 	n := [3]int{16, 16, 16}
 	install(t, pc, n, 2)
 
-	first := pc.Acquire(n, 2, "float64", 1).(*planLease)
+	first := pc.Acquire(n, 2, "float64").(*planLease)
 	if !first.Hit() {
 		t.Fatal("first acquire should hit")
 	}
 	// The single entry is checked out: a concurrent job of the same shape
 	// must miss (single-owner plans), then donate a second entry back.
-	second := pc.Acquire(n, 2, "float64", 1).(*planLease)
+	second := pc.Acquire(n, 2, "float64").(*planLease)
 	if second.Hit() {
 		t.Fatal("second concurrent acquire must miss while the entry is checked out")
 	}
@@ -234,7 +160,7 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	install(t, pc, a, 1)
 	install(t, pc, b, 1)
 	// Touch a so b becomes the LRU entry.
-	l := pc.Acquire(a, 1, "float64", 1).(*planLease)
+	l := pc.Acquire(a, 1, "float64").(*planLease)
 	if !l.Hit() {
 		t.Fatal("a should hit")
 	}
@@ -246,13 +172,13 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("expected one eviction at capacity 2: %+v", st)
 	}
-	if l := pc.Acquire(b, 1, "float64", 1).(*planLease); l.Hit() {
+	if l := pc.Acquire(b, 1, "float64").(*planLease); l.Hit() {
 		t.Fatal("LRU entry b should have been evicted")
 	} else {
 		l.Release()
 	}
 	for _, n := range [][3]int{a, c} {
-		l := pc.Acquire(n, 1, "float64", 1).(*planLease)
+		l := pc.Acquire(n, 1, "float64").(*planLease)
 		if !l.Hit() {
 			t.Fatalf("entry %v should have survived eviction", n)
 		}
@@ -265,7 +191,7 @@ func TestPlanCacheRefcountPinsInUseEntry(t *testing.T) {
 	pinned := [3]int{8, 8, 8}
 	install(t, pc, pinned, 1)
 
-	lease := pc.Acquire(pinned, 1, "float64", 1).(*planLease)
+	lease := pc.Acquire(pinned, 1, "float64").(*planLease)
 	if !lease.Hit() {
 		t.Fatal("expected hit on the pinned entry")
 	}
@@ -278,7 +204,7 @@ func TestPlanCacheRefcountPinsInUseEntry(t *testing.T) {
 	install(t, pc, [3]int{16, 16, 16}, 1)
 	lease.Release()
 
-	got := pc.Acquire(pinned, 1, "float64", 1).(*planLease)
+	got := pc.Acquire(pinned, 1, "float64").(*planLease)
 	if !got.Hit() {
 		t.Fatalf("pinned entry was evicted while checked out: %+v", pc.Stats())
 	}
@@ -288,7 +214,7 @@ func TestPlanCacheRefcountPinsInUseEntry(t *testing.T) {
 func TestPlanCacheIncompleteDonationDropped(t *testing.T) {
 	pc := NewPlanCache(4)
 	n := [3]int{16, 16, 16}
-	lease := pc.Acquire(n, 4, "float64", 1).(*planLease)
+	lease := pc.Acquire(n, 4, "float64").(*planLease)
 	lease.Put(0, &spectral.Ops{}) // ranks 1..3 never donate (failed job)
 	lease.Put(2, &spectral.Ops{})
 	lease.Release()
@@ -306,7 +232,7 @@ func TestPlanCacheZeroCapacityStaysCold(t *testing.T) {
 	pc := NewPlanCache(0)
 	n := [3]int{8, 8, 8}
 	install(t, pc, n, 1)
-	if l := pc.Acquire(n, 1, "float64", 1).(*planLease); l.Hit() {
+	if l := pc.Acquire(n, 1, "float64").(*planLease); l.Hit() {
 		t.Fatal("capacity-0 cache must never hit")
 	} else {
 		l.Release()

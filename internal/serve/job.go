@@ -120,8 +120,14 @@ func (s *JobSpec) Validate() error {
 	if _, err := prec.Parse(s.Precision); err != nil {
 		return fmt.Errorf("unknown precision %q (float64 | float32)", s.Precision)
 	}
-	if s.Beta < 0 || s.GradTol < 0 || s.MaxNewtonIters < 0 || s.MaxKrylovIters < 0 || s.TimeSteps < 0 {
+	if s.Beta < 0 || s.GradTol < 0 || s.MaxNewtonIters < 0 || s.MaxKrylovIters < 0 || s.TimeSteps < 0 ||
+		s.DivPenalty < 0 || s.VelocityIntervals < 0 || s.MultilevelLevels < 0 {
 		return fmt.Errorf("solver knobs must be non-negative")
+	}
+	for i, b := range s.ContinuationBetas {
+		if !(b > 0) {
+			return fmt.Errorf("continuation_betas[%d] = %g must be positive", i, b)
+		}
 	}
 	if s.TimeSteps > maxTimeSteps {
 		return fmt.Errorf("time_steps = %d above %d", s.TimeSteps, maxTimeSteps)
@@ -141,9 +147,9 @@ func (s *JobSpec) volumes() (template, reference diffreg.Volume, err error) {
 	case "brain":
 		return diffreg.BrainPhantomPair(s.N[0], s.N[1], s.N[2], s.SeedA, s.SeedB)
 	default:
-		// Validate enforces this for submitted specs; re-checking here keeps
-		// internal callers (the fused dispatcher claims groups before
-		// loading inputs) from solving on truncated volumes.
+		// Validate enforces this for submitted and replayed specs;
+		// re-checking here keeps a truncated volume from reaching the
+		// solver whatever the caller.
 		if total := s.N[0] * s.N[1] * s.N[2]; len(s.Template) != total || len(s.Reference) != total {
 			return diffreg.Volume{}, diffreg.Volume{},
 				fmt.Errorf("inline volumes must both have %d samples (got %d and %d)",
@@ -263,7 +269,6 @@ type Job struct {
 	stop     atomic.Bool // cooperative-stop request (cancel, timeout, shutdown)
 	canceled atomic.Bool
 	timedOut atomic.Bool
-	soloOnly atomic.Bool // re-queued from a dead fused batch: never re-fuse
 
 	mu           sync.Mutex
 	state        JobState

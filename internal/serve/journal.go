@@ -6,7 +6,7 @@ package serve
 //
 //	accepted  the validated JobSpec, its server-assigned ID, and the
 //	          client's idempotency key — written before Submit returns 202
-//	attempt   an execution attempt is starting (solo or fused)
+//	attempt   an execution attempt is starting
 //	terminal  the job reached done | failed | canceled
 //
 // On restart the server replays the journal: jobs with a terminal record

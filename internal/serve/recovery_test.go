@@ -19,7 +19,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -32,7 +32,6 @@ import (
 
 	"diffreg"
 	"diffreg/internal/ckpt"
-	"diffreg/internal/mpi"
 )
 
 // mustOpen fails the test instead of panicking on journal errors.
@@ -158,7 +157,8 @@ func TestJournalTornTailRecovery(t *testing.T) {
 }
 
 // TestDurabilityStatsJSONShape pins the /stats retries and journal block
-// wire formats and checks they ride inside GET /stats.
+// wire formats and checks they ride inside GET /stats, next to every
+// counter the benchmark's service workload reads.
 func TestDurabilityStatsJSONShape(t *testing.T) {
 	b, err := json.Marshal(RetryStats{Enabled: true, MaxAttempts: 3,
 		Scheduled: 2, Resumed: 1, Recovered: 1, Exhausted: 0, Pending: 1})
@@ -189,8 +189,12 @@ func TestDurabilityStatsJSONShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var body map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	if err := json.Unmarshal(raw, &body); err != nil {
 		t.Fatal(err)
 	}
 	var rs RetryStats
@@ -206,6 +210,34 @@ func TestDurabilityStatsJSONShape(t *testing.T) {
 	}
 	if !js.Enabled || js.Path == "" {
 		t.Fatalf("journal block: %+v, want enabled with a path", js)
+	}
+	// Fusion, and with it the fusion block, is gone.
+	if _, ok := body["fusion"]; ok {
+		t.Errorf("/stats still carries a fusion block: %s", body["fusion"])
+	}
+	var read struct {
+		Failed   *float64 `json:"failed"`
+		Rejected *float64 `json:"rejected"`
+		Cache    struct {
+			Hits   *float64 `json:"hits"`
+			Misses *float64 `json:"misses"`
+		} `json:"cache"`
+		Retries struct {
+			Scheduled *float64 `json:"scheduled"`
+		} `json:"retries"`
+		Journal struct {
+			Records *float64 `json:"records"`
+		} `json:"journal"`
+	}
+	if err := json.Unmarshal(raw, &read); err != nil {
+		t.Fatalf("/stats: %v", err)
+	}
+	for name, v := range map[string]*float64{"failed": read.Failed, "rejected": read.Rejected,
+		"cache.hits": read.Cache.Hits, "cache.misses": read.Cache.Misses,
+		"retries.scheduled": read.Retries.Scheduled, "journal.records": read.Journal.Records} {
+		if v == nil {
+			t.Errorf("/stats lacks %s", name)
+		}
 	}
 }
 
@@ -555,51 +587,6 @@ func TestCheckpointCarryingRecovery(t *testing.T) {
 	}
 }
 
-// TestFusedBatchRequeuesSoloOnCommError: when a fused batch dies of a
-// batch-level comm error, surviving members are re-queued to run solo
-// under the retry budget instead of failing with the batch.
-func TestFusedBatchRequeuesSoloOnCommError(t *testing.T) {
-	spec := quickSpec()
-	baseline := serialBaseline(t, spec)
-	srv := mustOpen(t, Config{
-		Workers: 1, MaxBatch: 2, BatchWindow: 200 * time.Millisecond,
-		Retry: RetryPolicy{MaxAttempts: 2, Backoff: 5 * time.Millisecond},
-		runFused: func([]diffreg.FusedJob) ([]*diffreg.Result, *diffreg.FusedInfo, error) {
-			return nil, nil, fmt.Errorf("fused pass: %w",
-				&mpi.CommError{Rank: 0, Phase: mpi.PhaseFFTComm, Op: "alltoallv", Detail: "injected batch fault"})
-		},
-	})
-	defer srv.Close()
-
-	a, err := srv.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := srv.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, job := range []*Job{a, b} {
-		st := waitJob(t, srv, job.ID)
-		if st.State != JobDone {
-			t.Fatalf("batch survivor %s: %s (%s)", job.ID, st.State, st.Error)
-		}
-		if st.Attempts != 2 {
-			t.Fatalf("batch survivor %s attempts = %d, want 2", job.ID, st.Attempts)
-		}
-		if math.Float64bits(st.Result.MisfitFinal) != math.Float64bits(baseline.MisfitFinal) {
-			t.Fatalf("solo re-run of %s diverged from baseline", job.ID)
-		}
-	}
-	stats := srv.Stats()
-	if stats.Fusion.RequeuedSolo != 2 {
-		t.Fatalf("requeued_solo = %d, want 2", stats.Fusion.RequeuedSolo)
-	}
-	if stats.Failed != 0 {
-		t.Fatalf("batch members failed terminally: %d", stats.Failed)
-	}
-}
-
 // TestRetryBudgetAndGating pins the supervisor's decision table: only comm
 // errors retry, cancels win races, and the attempt budget is enforced
 // (with the exhaustion counter).
@@ -610,20 +597,20 @@ func TestRetryBudgetAndGating(t *testing.T) {
 
 	job := newJob("job-test-1", quickSpec())
 	job.setRunning()
-	if srv.maybeRetry(job, "x", "solver", false) {
+	if srv.maybeRetry(job, "x", "solver") {
 		t.Fatal("solver error retried")
 	}
-	if srv.maybeRetry(job, "x", "timeout", false) {
+	if srv.maybeRetry(job, "x", "timeout") {
 		t.Fatal("timeout retried")
 	}
 	canceled := newJob("job-test-2", quickSpec())
 	canceled.setRunning()
 	canceled.canceled.Store(true)
-	if srv.maybeRetry(canceled, "x", "comm", false) {
+	if srv.maybeRetry(canceled, "x", "comm") {
 		t.Fatal("canceled job retried")
 	}
 
-	if !srv.maybeRetry(job, "transient", "comm", false) {
+	if !srv.maybeRetry(job, "transient", "comm") {
 		t.Fatal("comm error not retried with budget left")
 	}
 	st := job.Status()
@@ -634,7 +621,7 @@ func TestRetryBudgetAndGating(t *testing.T) {
 		t.Fatalf("pending = %d, want 1", got)
 	}
 	job.setRunning() // attempt 2 — the last of the budget
-	if srv.maybeRetry(job, "transient", "comm", false) {
+	if srv.maybeRetry(job, "transient", "comm") {
 		t.Fatal("budget exceeded but retry scheduled")
 	}
 	if got := srv.Stats().Retries.Exhausted; got != 1 {

@@ -121,9 +121,8 @@ func (s *Server) spoolPath(job *Job) string {
 
 // maybeRetry inspects a failed attempt and either schedules the next one
 // (returning true — the job is NOT terminal) or returns false, leaving the
-// caller to finish the job. solo marks the rescheduled attempt as
-// fusion-exempt (used when a fused batch dies: survivors re-run solo).
-func (s *Server) maybeRetry(job *Job, errMsg, kind string, solo bool) bool {
+// caller to finish the job.
+func (s *Server) maybeRetry(job *Job, errMsg, kind string) bool {
 	if !s.cfg.Retry.enabled() || !retryableKind(kind) {
 		return false
 	}
@@ -141,9 +140,6 @@ func (s *Server) maybeRetry(job *Job, errMsg, kind string, solo bool) bool {
 	if s.closed {
 		s.mu.Unlock()
 		return false
-	}
-	if solo {
-		job.soloOnly.Store(true)
 	}
 	backoff := s.cfg.Retry.delay(attempts + 1)
 	job.setQueuedForRetry(errMsg, kind, time.Now().Add(backoff))

@@ -624,7 +624,9 @@ func TestSpecErrorWrapping(t *testing.T) {
 // rejected at admission. Each would otherwise reach the solver (the first
 // because n1*n2*n3 wraps to 0 and matches its empty inline volumes) and
 // end the process in an out-of-memory fatal error, which a journal replay
-// would repeat on every restart.
+// would repeat on every restart. Negative knobs and non-positive
+// continuation weights are rejected too: they would run and report
+// success on a problem the client did not pose.
 func TestValidateBoundsJobSize(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -634,6 +636,11 @@ func TestValidateBoundsJobSize(t *testing.T) {
 		{"points_overflow_int", JobSpec{N: [3]int{2097152, 2097152, 4194304}}, "exceeds"},
 		{"points_too_many", JobSpec{Generator: "synthetic", N: [3]int{4096, 4096, 4096}}, "exceeds"},
 		{"time_steps_too_many", JobSpec{Generator: "synthetic", N: [3]int{8, 8, 8}, TimeSteps: 1099511627776}, "time_steps"},
+		{"continuation_beta_negative", JobSpec{Generator: "synthetic", N: [3]int{8, 8, 8}, ContinuationBetas: []float64{-1}}, "continuation_betas"},
+		{"continuation_beta_zero", JobSpec{Generator: "synthetic", N: [3]int{8, 8, 8}, ContinuationBetas: []float64{1e-2, 0}}, "continuation_betas"},
+		{"div_penalty_negative", JobSpec{Generator: "synthetic", N: [3]int{8, 8, 8}, DivPenalty: -5}, "non-negative"},
+		{"velocity_intervals_negative", JobSpec{Generator: "synthetic", N: [3]int{8, 8, 8}, VelocityIntervals: -1}, "non-negative"},
+		{"multilevel_levels_negative", JobSpec{Generator: "synthetic", N: [3]int{8, 8, 8}, MultilevelLevels: -3}, "non-negative"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()
@@ -645,4 +652,51 @@ func TestValidateBoundsJobSize(t *testing.T) {
 	if err := edge.Validate(); err != nil {
 		t.Errorf("spec at the bounds rejected: %v", err)
 	}
+}
+
+// FuzzJobSpec decodes arbitrary bytes as the POST /jobs handler does and
+// validates the result. Validate must never panic, and every spec it
+// accepts must lie within the admission bounds: the point, time-step and
+// rank caps, non-negative knobs, and positive continuation weights.
+func FuzzJobSpec(f *testing.F) {
+	f.Add([]byte(`{"generator":"synthetic","n":[16,16,16],"tasks":2}`))
+	f.Add([]byte(`{"generator":"brain","n":[32,40,32],"tasks":4,"seed_a":1,"seed_b":2,"precision":"float32"}`))
+	f.Add([]byte(`{"n":[4,4,4],"template":[0,0,0,0],"reference":[]}`))
+	f.Add([]byte(`{"generator":"synthetic","n":[8,8,8],"continuation_betas":[-1]}`))
+	f.Add([]byte(`{"generator":"synthetic","n":[8,8,8],"div_penalty":-5,"velocity_intervals":-1,"multilevel_levels":-3}`))
+	f.Add([]byte(`{"generator":"synthetic","n":[2097152,2097152,4194304],"time_steps":1099511627776}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec JobSpec
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&spec); err != nil {
+			return
+		}
+		if spec.Validate() != nil {
+			return
+		}
+		points := 1.0
+		for d, n := range spec.N {
+			if n < 4 {
+				t.Fatalf("accepted n[%d] = %d", d, n)
+			}
+			points *= float64(n)
+		}
+		if points > maxPoints {
+			t.Fatalf("accepted grid %v above %d points", spec.N, maxPoints)
+		}
+		if spec.TimeSteps < 0 || spec.TimeSteps > maxTimeSteps {
+			t.Fatalf("accepted time_steps = %d", spec.TimeSteps)
+		}
+		if spec.Tasks < 0 || spec.Tasks > maxTasks {
+			t.Fatalf("accepted tasks = %d", spec.Tasks)
+		}
+		if spec.DivPenalty < 0 || spec.VelocityIntervals < 0 || spec.MultilevelLevels < 0 {
+			t.Fatalf("accepted a negative knob: div_penalty %g, velocity_intervals %d, multilevel_levels %d",
+				spec.DivPenalty, spec.VelocityIntervals, spec.MultilevelLevels)
+		}
+		for i, b := range spec.ContinuationBetas {
+			if !(b > 0) {
+				t.Fatalf("accepted continuation_betas[%d] = %g", i, b)
+			}
+		}
+	})
 }

@@ -13,6 +13,7 @@ import (
 
 	"diffreg"
 	"diffreg/internal/ckpt"
+	"diffreg/internal/mpi"
 )
 
 // Config sizes the server. Zero values take the documented defaults; set
@@ -57,24 +58,9 @@ type Config struct {
 	// 0 means the default (1024); negative retains everything.
 	Retain int
 
-	// MaxBatch enables job fusion when > 1: queued jobs of identical
-	// fusion shape — (grid, tasks, precision, cache opt-out) — are
-	// grouped up to this width and executed as one fused solver pass
-	// (see diffreg.RegisterFused). Per-job results are bit-identical to
-	// solo execution. 0 or 1 disables fusion.
-	MaxBatch int
-	// BatchWindow is how long the fusion dispatcher holds a fusable job
-	// open for same-shape companions before dispatching (default 25ms).
-	// Only meaningful with MaxBatch > 1.
-	BatchWindow time.Duration
-
 	// beforeRun, when set, runs in the worker immediately before a job's
 	// solve starts — a test hook for making "worker busy" deterministic.
 	beforeRun func(*Job)
-	// runFused, when set, replaces diffreg.RegisterFused for fused
-	// batches — a test hook for injecting batch-level failures
-	// deterministically.
-	runFused func([]diffreg.FusedJob) ([]*diffreg.Result, *diffreg.FusedInfo, error)
 }
 
 // Submission errors surfaced by Submit (mapped to HTTP statuses by the
@@ -109,7 +95,6 @@ type ServerStats struct {
 	Evicted      int64        `json:"evicted"`
 	Cache        CacheStats   `json:"cache"`
 	CacheEnabled bool         `json:"cache_enabled"`
-	Fusion       FusionStats  `json:"fusion"`
 	Retries      RetryStats   `json:"retries"`
 	Journal      JournalStats `json:"journal"`
 }
@@ -152,11 +137,6 @@ type Server struct {
 	retryResumed   atomic.Int64
 	retryRecovered atomic.Int64
 	retryExhausted atomic.Int64
-
-	fusionBatches  atomic.Int64
-	fusionJobs     atomic.Int64
-	fusionDropouts atomic.Int64
-	fusionRequeued atomic.Int64
 
 	genMu sync.Mutex
 	gen   map[genKey]genPair
@@ -333,29 +313,6 @@ func Open(cfg Config) (*Server, error) {
 		s.logf("journal: replayed %d records (%d jobs), re-running %d non-terminal jobs",
 			records, len(replayed), nonTerminal)
 	}
-	if cfg.MaxBatch > 1 {
-		// Fusion: one dispatcher groups the queue into fused batches;
-		// workers consume groups.
-		if s.cfg.BatchWindow <= 0 {
-			s.cfg.BatchWindow = 25 * time.Millisecond
-		}
-		batches := make(chan []*Job, cfg.Workers)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.dispatch(batches)
-		}()
-		for i := 0; i < cfg.Workers; i++ {
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				for group := range batches {
-					s.runBatch(group)
-				}
-			}()
-		}
-		return s, nil
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go func() {
@@ -517,17 +474,6 @@ func (s *Server) Stats() ServerStats {
 	if s.cache != nil {
 		st.Cache = s.cache.Stats()
 	}
-	st.Fusion = FusionStats{
-		Enabled:       s.cfg.MaxBatch > 1,
-		MaxBatch:      s.cfg.MaxBatch,
-		Batches:       s.fusionBatches.Load(),
-		FusedJobs:     s.fusionJobs.Load(),
-		EarlyDropouts: s.fusionDropouts.Load(),
-		RequeuedSolo:  s.fusionRequeued.Load(),
-	}
-	if st.Fusion.Batches > 0 {
-		st.Fusion.MeanFill = float64(st.Fusion.FusedJobs) / float64(st.Fusion.Batches) / float64(s.cfg.MaxBatch)
-	}
 	st.Retries = RetryStats{
 		Enabled:     s.cfg.Retry.enabled(),
 		MaxAttempts: s.cfg.Retry.MaxAttempts,
@@ -598,8 +544,8 @@ type sourceRecorder struct {
 	hit atomic.Bool
 }
 
-func (r *sourceRecorder) Acquire(n [3]int, tasks int, precision string, slots int) diffreg.PlanLease {
-	lease := r.pc.Acquire(n, tasks, precision, slots)
+func (r *sourceRecorder) Acquire(n [3]int, tasks int, precision string) diffreg.PlanLease {
+	lease := r.pc.Acquire(n, tasks, precision)
 	if pl, ok := lease.(*planLease); ok && pl.Hit() {
 		r.hit.Store(true)
 	}
@@ -612,7 +558,124 @@ func (s *Server) runJob(job *Job) {
 		s.canceled.Add(1) // canceled while queued; the worker skips it
 		return
 	}
-	s.runClaimed(job)
+	s.running.Add(1)
+	defer s.running.Add(-1)
+	s.journalAttempt(job)
+	if s.cfg.beforeRun != nil {
+		s.cfg.beforeRun(job)
+	}
+	template, reference, err := s.volumes(&job.Spec)
+	if err != nil {
+		s.failed.Add(1)
+		job.finish(JobFailed, nil, err.Error(), "solver", nil)
+		return
+	}
+	attempt := job.Attempts()
+	cfg := job.Spec.config()
+	cfg.StopRequested = job.stop.Load
+	cfg.OnProgress = job.progress
+	if attempt > 1 {
+		// Injected faults model a transient environment failure bound to
+		// the attempt that hit it; the spec's deterministic fault plan
+		// would refire on every retry and exhaust the budget by
+		// construction.
+		cfg.ChaosSpec = ""
+	}
+	if sp := s.spoolPath(job); sp != "" {
+		cfg.CheckpointPath = sp
+		cfg.CheckpointEvery = s.cfg.Retry.CheckpointEvery
+		if ckpt.HasCheckpoint(sp) {
+			cfg.Resume = true
+			s.retryResumed.Add(1)
+			s.logf("%s attempt %d resuming from spool checkpoint", job.ID, attempt)
+		}
+	}
+	var rec *sourceRecorder
+	if s.cache != nil && !job.Spec.NoCache {
+		rec = &sourceRecorder{pc: s.cache}
+		cfg.Plans = rec
+	}
+	if timeout := job.Spec.effectiveTimeout(s.cfg.DefaultTimeout); timeout > 0 {
+		timer := time.AfterFunc(timeout, func() {
+			job.timedOut.Store(true)
+			job.stop.Store(true)
+		})
+		defer timer.Stop()
+	}
+	t0 := time.Now()
+	res, err := diffreg.Register(template, reference, cfg)
+	if err != nil && cfg.Resume {
+		var ce *mpi.CommError
+		if !errors.As(err, &ce) {
+			// The spool checkpoint did not load (torn write, precision
+			// mismatch after a config change, stale dims). The spool is a
+			// best-effort accelerator, never a correctness dependency:
+			// reap it and run the attempt from scratch.
+			s.logf("%s spool resume failed, re-running from scratch: %v", job.ID, err)
+			if rerr := ckpt.Reap(cfg.CheckpointPath); rerr != nil {
+				s.logf("spool: reap %s: %v", job.ID, rerr)
+			}
+			cfg.Resume = false
+			res, err = diffreg.Register(template, reference, cfg)
+		}
+	}
+	wall := time.Since(t0).Seconds()
+	if err != nil {
+		kind := "solver"
+		var ce *mpi.CommError
+		if errors.As(err, &ce) {
+			kind = "comm"
+		}
+		if s.maybeRetry(job, err.Error(), kind) {
+			return
+		}
+		s.failed.Add(1)
+		job.finish(JobFailed, nil, err.Error(), kind, nil)
+		s.logf("%s failed (%s): %v", job.ID, kind, err)
+		return
+	}
+	s.finishSolved(job, res, wall, rec)
+}
+
+// finishSolved maps one completed solve onto the job lifecycle.
+func (s *Server) finishSolved(job *Job, res *diffreg.Result, wall float64, rec *sourceRecorder) {
+	switch {
+	case res.Failed:
+		s.failed.Add(1)
+		job.finish(JobFailed, nil, res.FailReason, "solver", res.Degradations)
+		s.logf("%s failed: %s", job.ID, res.FailReason)
+	case res.Interrupted && job.timedOut.Load():
+		s.failed.Add(1)
+		job.finish(JobFailed, buildResult(res, wall, rec, &job.Spec),
+			fmt.Sprintf("watchdog: job exceeded its timeout; stopped cooperatively after %d iterations", res.NewtonIters),
+			"timeout", res.Degradations)
+		s.logf("%s timed out after %d iterations", job.ID, res.NewtonIters)
+	case res.Interrupted && job.canceled.Load():
+		s.canceled.Add(1)
+		job.finish(JobCanceled, buildResult(res, wall, rec, &job.Spec), "canceled", "", res.Degradations)
+		s.logf("%s canceled after %d iterations", job.ID, res.NewtonIters)
+	case res.Interrupted:
+		s.canceled.Add(1)
+		job.finish(JobCanceled, buildResult(res, wall, rec, &job.Spec), "server shutdown", "shutdown", res.Degradations)
+	default:
+		s.done.Add(1)
+		if job.Attempts() > 1 {
+			s.retryRecovered.Add(1)
+		}
+		job.finish(JobDone, buildResult(res, wall, rec, &job.Spec), "", "", res.Degradations)
+		s.logf("%s done: misfit %.3e -> %.3e in %.2fs", job.ID, res.MisfitInit, res.MisfitFinal, wall)
+	}
+}
+
+// journalAttempt records the start of the job's current execution attempt
+// (a lost journal must not kill live jobs, so errors only log).
+func (s *Server) journalAttempt(job *Job) {
+	if s.journal == nil {
+		return
+	}
+	if err := s.journal.Attempt(job.ID, job.Attempts()); err != nil {
+		s.logf("journal: attempt %s: %v", job.ID, err)
+	}
 }
 
 func buildResult(res *diffreg.Result, wall float64, rec *sourceRecorder, spec *JobSpec) *JobResult {

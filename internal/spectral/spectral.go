@@ -61,12 +61,6 @@ type Ops struct {
 	hdrR [3][]float64
 	hdrC [3][]complex128
 
-	// Job-fusion workspace: spectra and headers for fields × jobs
-	// batches (see batch.go); grown lazily by DiagVectorBatch/WarmBatch.
-	bspec [][]complex128
-	bhdrR [][]float64
-	bhdrC [][]complex128
-
 	// Prebuilt pool kernels over the mode range [lo, hi); retained on the
 	// Ops so hot operators spawn no closures.
 	fnGrad    func(c, lo, hi int)

@@ -530,3 +530,129 @@ func TestBSplinePrefilterGivesExactInterpolation(t *testing.T) {
 		return nil
 	})
 }
+
+// randomVector fills a vector field deterministically.
+func randomVector(o *Ops, seed int64) *field.Vector {
+	rng := rand.New(rand.NewSource(seed))
+	v := field.NewVector(o.Pe)
+	for d := 0; d < 3; d++ {
+		for i := range v.C[d].Data {
+			v.C[d].Data[i] = rng.NormFloat64()
+		}
+	}
+	return v
+}
+
+// TestInPlaceMatchesAllocating asserts the in-place vector operators are
+// bitwise identical to their allocating counterparts at 1 and 4 ranks.
+func TestInPlaceMatchesAllocating(t *testing.T) {
+	g := grid.MustNew(8, 12, 10)
+	for _, p := range []int{1, 4} {
+		withOps(t, g, p, func(o *Ops) error {
+			cases := []struct {
+				name    string
+				apply   func(v *field.Vector) *field.Vector
+				inPlace func(v *field.Vector)
+			}{
+				{"Leray", o.Leray, o.LerayInPlace},
+				{"GradDiv", o.GradDiv, o.GradDivInPlace},
+				{"VecLap", o.VecLap, o.VecLapInPlace},
+				{"Biharm", o.Biharm, o.BiharmInPlace},
+				{"InvBiharm", o.InvBiharm, o.InvBiharmInPlace},
+			}
+			for ci, tc := range cases {
+				v := randomVector(o, int64(100+ci))
+				want := tc.apply(v.Clone())
+				got := v.Clone()
+				tc.inPlace(got)
+				for d := 0; d < 3; d++ {
+					for i := range want.C[d].Data {
+						if got.C[d].Data[i] != want.C[d].Data[i] {
+							t.Errorf("p=%d %s d=%d i=%d: in-place %v != allocating %v",
+								p, tc.name, d, i, got.C[d].Data[i], want.C[d].Data[i])
+							return nil
+						}
+					}
+				}
+			}
+			return nil
+		})
+	}
+}
+
+// TestDiagVectorMatchesDiagScalar asserts the batched componentwise symbol
+// application equals three independent scalar applications bitwise.
+func TestDiagVectorMatchesDiagScalar(t *testing.T) {
+	g := grid.MustNew(8, 12, 10)
+	f := func(k1, k2, k3 int) float64 {
+		return 1 / (1 + ksq(k1, k2, k3))
+	}
+	for _, p := range []int{1, 4} {
+		withOps(t, g, p, func(o *Ops) error {
+			v := randomVector(o, 7)
+			got := o.DiagVector(v, f)
+			for d := 0; d < 3; d++ {
+				want := o.DiagScalar(v.C[d], f)
+				for i := range want.Data {
+					if got.C[d].Data[i] != want.Data[i] {
+						t.Errorf("p=%d d=%d i=%d: batched %v != scalar %v",
+							p, d, i, got.C[d].Data[i], want.Data[i])
+						return nil
+					}
+				}
+			}
+			return nil
+		})
+	}
+}
+
+// TestGradDivIntoMatch asserts GradInto/DivInto equal Grad/Div bitwise.
+func TestGradDivIntoMatch(t *testing.T) {
+	g := grid.MustNew(8, 12, 10)
+	for _, p := range []int{1, 4} {
+		withOps(t, g, p, func(o *Ops) error {
+			v := randomVector(o, 11)
+			s := v.C[0].Clone()
+
+			wantG := o.Grad(s)
+			gotG := field.NewVector(o.Pe)
+			o.GradInto(s, gotG)
+			wantD := o.Div(v)
+			gotD := field.NewScalar(o.Pe)
+			o.DivInto(v, gotD)
+			for d := 0; d < 3; d++ {
+				for i := range wantG.C[d].Data {
+					if gotG.C[d].Data[i] != wantG.C[d].Data[i] {
+						t.Errorf("p=%d GradInto d=%d i=%d mismatch", p, d, i)
+						return nil
+					}
+				}
+			}
+			for i := range wantD.Data {
+				if gotD.Data[i] != wantD.Data[i] {
+					t.Errorf("p=%d DivInto i=%d mismatch", p, i)
+					return nil
+				}
+			}
+			return nil
+		})
+	}
+}
+
+// TestLerayZeroAllocs gates the whole zero-allocation stack end to end: a
+// steady-state Leray projection (batched forward, table kernel, batched
+// inverse) must not allocate at one rank.
+func TestLerayZeroAllocs(t *testing.T) {
+	g := grid.MustNew(16, 12, 10)
+	withOps(t, g, 1, func(o *Ops) error {
+		v := randomVector(o, 3)
+		o.LerayInPlace(v) // warm the plan and operator workspaces
+		allocs := testing.AllocsPerRun(10, func() {
+			o.LerayInPlace(v)
+		})
+		if allocs != 0 {
+			t.Errorf("LerayInPlace allocates %v times per run, want 0", allocs)
+		}
+		return nil
+	})
+}

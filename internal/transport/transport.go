@@ -29,21 +29,12 @@ type Solver struct {
 	// RK2 star-point plan, rebuilt in place per trace, and the scratch the
 	// plans share.
 	planner *semilag.Planner
-
-	// gate, when set, is installed on every interpolation plan this
-	// solver builds, so a batch scheduler can fuse the gather exchanges
-	// across jobs (see semilag.Gate). Nil on solo solvers.
-	gate semilag.Gate
 }
 
 // NewSolver returns a transport solver with nt time steps.
 func NewSolver(ops *spectral.Ops, nt int) *Solver {
 	return &Solver{Ops: ops, Pe: ops.Pe, Nt: nt}
 }
-
-// SetGate installs (or clears, with nil) the cross-job interpolation
-// batch gate threaded onto every plan the solver builds.
-func (s *Solver) SetGate(g semilag.Gate) { s.gate = g }
 
 // Dt returns the time step size.
 func (s *Solver) Dt() float64 { return 1 / float64(s.Nt) }
@@ -95,8 +86,7 @@ type Context struct {
 	// the transport solves reduce to pure interpolation (§III-C2).
 	Solenoidal bool
 
-	s    *Solver      // the builder: its planner serves the lazy half
-	gate semilag.Gate // installed on every plan of this context
+	s *Solver // the builder: its planner serves the lazy half
 
 	adj      *semilag.Plan // departure points of -v characteristics
 	divV     *field.Scalar
@@ -106,7 +96,7 @@ type Context struct {
 // NewContext builds the per-velocity caches. solenoidal should be true
 // when v is (projected) divergence-free; the zero sources are then skipped.
 func (s *Solver) NewContext(v *field.Vector, solenoidal bool) *Context {
-	ctx := &Context{V: v, Solenoidal: solenoidal, s: s, gate: s.gate}
+	ctx := &Context{V: v, Solenoidal: solenoidal, s: s}
 	ctx.Fwd = ctx.departurePlan(s.Dt())
 	return ctx
 }
@@ -115,21 +105,7 @@ func (s *Solver) NewContext(v *field.Vector, solenoidal bool) *Context {
 // dt (negative dt traces -V, bit-identically to negating the field).
 func (ctx *Context) departurePlan(dt float64) *semilag.Plan {
 	pn := ctx.s.plans()
-	pn.SetGate(ctx.gate)
-	pl := pn.NewPlan(pn.Departure(ctx.V, dt))
-	pl.SetGate(ctx.gate)
-	return pl
-}
-
-// Ungate clears the batch gate from the context's plans, built or not: a
-// fused solve's epilogue inherits the optimizer's gated context but runs
-// inside an exclusive window, where the exchanges must stay solo.
-func (ctx *Context) Ungate() {
-	ctx.gate = nil
-	ctx.Fwd.SetGate(nil)
-	if ctx.adj != nil {
-		ctx.adj.SetGate(nil)
-	}
+	return pn.NewPlan(pn.Departure(ctx.V, dt))
 }
 
 // adjPlan returns the adjoint-direction plan, building the adjoint half of
@@ -391,7 +367,6 @@ func (s *Solver) ApplyMap(img *field.Scalar, u *field.Vector) *field.Scalar {
 		pts[2][idx] = float64(pe.Lo[2]+i3) + u.C[2].Data[idx]/h[2]
 	})
 	plan := s.plans().NewPlan(pts)
-	plan.SetGate(s.gate)
 	out := field.NewScalar(pe)
 	copy(out.Data, plan.Interp(img.Data))
 	return out
