@@ -1,9 +1,8 @@
 // Command regserve runs the registration job server: an HTTP/JSON daemon
 // that accepts registration jobs, executes them through the distributed
-// solver on a bounded worker pool, caches FFT plans and operator
-// workspaces across jobs, and streams per-iteration progress.
+// solver on a bounded worker pool, and streams per-iteration progress.
 //
-//	regserve -addr :8080 -workers 4 -queue 16 -cache 8 -timeout 10m
+//	regserve -addr :8080 -workers 4 -queue 16 -timeout 10m
 //
 // Each job runs as one distributed solve on one worker. -pprof ADDR
 // serves net/http/pprof on a separate listener.
@@ -46,7 +45,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 2, "concurrent solver slots")
 	queue := flag.Int("queue", 16, "queued-job admission cap (beyond it: HTTP 429)")
-	cache := flag.Int("cache", 0, "plan-cache capacity in operator-set collections (0 = 2*workers, negative disables)")
 	timeout := flag.Duration("timeout", 0, "default per-job cooperative timeout (0 = none)")
 	pool := flag.Int("pool", 0, "shared-memory worker pool size (0 = GOMAXPROCS)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
@@ -68,7 +66,6 @@ func main() {
 	srv, err := serve.Open(serve.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		CacheEntries:   *cache,
 		DefaultTimeout: *timeout,
 		JournalDir:     *journal,
 		SpoolDir:       *spool,

@@ -179,39 +179,10 @@ type Config struct {
 	// callback runs on the solver's critical path — keep it cheap and do
 	// not call back into the solve.
 	OnProgress func(ProgressEvent)
-
-	// Plans, when non-nil, supplies cached per-rank operator sets (FFT
-	// plans, spectral symbol tables, workspaces) keyed by grid dims and
-	// task count, so repeated solves of the same shape skip plan
-	// construction entirely — the job server's warm path. See PlanSource.
-	Plans PlanSource
 }
 
 // ProgressEvent is one solver progress notification; see core.ProgressEvent.
 type ProgressEvent = core.ProgressEvent
-
-// PlanLease is one job's exclusive checkout of cached per-rank operator
-// sets. Ops returns the cached set for a rank (nil on a cache miss — the
-// solve then builds its own); Put donates the set a missing rank built so
-// the next solve of this shape hits; Release returns the checkout. The
-// lease owns the sets between Acquire and Release: no other job may use
-// them (pfft plans are single-owner).
-type PlanLease interface {
-	Ops(rank int) *spectral.Ops
-	Put(rank int, ops *spectral.Ops)
-	Release()
-}
-
-// PlanSource hands out plan leases; implemented by the job server's
-// PlanCache. Acquire never blocks on a busy cache — it returns a miss
-// lease instead, so concurrent same-shape jobs each get exclusive sets.
-// precision is the canonical precision string ("float64" or "float32")
-// the solve will run at; cached operator sets bake their wire format into
-// their workspaces, so an implementation must never hand a lease built at
-// one precision to a solve requesting the other.
-type PlanSource interface {
-	Acquire(n [3]int, tasks int, precision string) PlanLease
-}
 
 // Checkpointable reports whether this configuration supports
 // checkpoint/restart: the checkpoint format captures a single stationary
@@ -402,13 +373,6 @@ func Register(template, reference Volume, cfg Config) (*Result, error) {
 		}
 	}
 
-	var lease PlanLease
-	if cfg.Plans != nil {
-		if lease = cfg.Plans.Acquire(template.N, cfg.Tasks, precision.String()); lease != nil {
-			defer lease.Release()
-		}
-	}
-
 	res := &Result{}
 	var solveErr error
 	_, err = mpi.RunWith(cfg.Tasks, mpi.RunOpts{Cost: mpi.DefaultCostModel(), Faults: faults}, func(c *mpi.Comm) error {
@@ -486,16 +450,6 @@ func Register(template, reference Volume, cfg Config) (*Result, error) {
 		if cfg.OnProgress != nil && c.Rank() == 0 {
 			ccfg.OnProgress = cfg.OnProgress
 		}
-		if lease != nil {
-			if ops := lease.Ops(c.Rank()); ops != nil {
-				if err := ops.Rebind(pe); err != nil {
-					solveErr = err
-					return err
-				}
-				ccfg.Ops = ops
-			}
-		}
-
 		var out *core.Outcome
 		if cfg.MultilevelLevels > 1 {
 			out, _, err = core.RegisterMultilevel(pe, rhoT, rhoR, ccfg, cfg.MultilevelLevels)
@@ -505,12 +459,6 @@ func Register(template, reference Volume, cfg Config) (*Result, error) {
 		if err != nil {
 			solveErr = err
 			return err
-		}
-		if lease != nil && out.Ops != nil {
-			// Donate the operator set this rank used (a no-op on a cache
-			// hit); the cache installs the complete per-rank collection on
-			// Release.
-			lease.Put(c.Rank(), out.Ops)
 		}
 		// Gather global artifacts on rank 0 and fill the shared result. An
 		// interrupted or failed solve has no deformation map — only the

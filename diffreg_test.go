@@ -180,6 +180,37 @@ func TestRegisterMultilevelPublicAPI(t *testing.T) {
 	}
 }
 
+// TestRegisterMultilevelFloat32 runs grid continuation at float32: every
+// level's operator set is built at the requested precision, and the narrow
+// solve tracks its float64 twin at the same rank count.
+func TestRegisterMultilevelFloat32(t *testing.T) {
+	tmpl, ref, err := SyntheticProblem(16, 16, 16, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tasks := range []int{1, 4} {
+		cfg := Config{Tasks: tasks, MultilevelLevels: 2, MaxNewtonIters: 3}
+		twin, err := Register(tmpl, ref, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Precision = "float32"
+		res, err := Register(tmpl, ref, cfg)
+		if err != nil {
+			t.Fatalf("p=%d: %v", tasks, err)
+		}
+		if res.NewtonIters != twin.NewtonIters {
+			t.Errorf("p=%d: %d Newton iterations, float64 twin %d", tasks, res.NewtonIters, twin.NewtonIters)
+		}
+		if rel := math.Abs(res.MisfitFinal-twin.MisfitFinal) / twin.MisfitFinal; rel > 1e-4 {
+			t.Errorf("p=%d: float32 misfit %.8g vs float64 %.8g (rel %.2g)", tasks, res.MisfitFinal, twin.MisfitFinal, rel)
+		}
+		if res.DetMin <= 0 {
+			t.Errorf("p=%d: float32 multilevel map not diffeomorphic: %g", tasks, res.DetMin)
+		}
+	}
+}
+
 func TestRegisterNCCDistancePublicAPI(t *testing.T) {
 	tmpl, ref, err := SyntheticProblem(16, 16, 16, 4, false)
 	if err != nil {
@@ -235,6 +266,47 @@ func TestRegisterTimeSeriesPublicAPI(t *testing.T) {
 	}
 	if _, err := SyntheticSequence(16, 16, 16, 3, 4, 0.5); err == nil {
 		t.Error("non-divisible frame count accepted")
+	}
+	// MaxKrylovIters bounds the PCG solve of every Newton step.
+	capped, err := RegisterTimeSeries(frames, Config{Tasks: 1, MaxNewtonIters: 2, MaxKrylovIters: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capped.HessianMatvecs > capped.NewtonIters {
+		t.Errorf("MaxKrylovIters 1: %d matvecs over %d Newton iterations", capped.HessianMatvecs, capped.NewtonIters)
+	}
+	// Every Config field the time-series solve does not read is rejected
+	// by name instead of silently ignored.
+	mask := NewVolume(16, 16, 16)
+	vel := [3]Volume{mask, mask, mask}
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"precision", Config{Precision: "float16"}},
+		{"Precision", Config{Precision: "float32"}},
+		{"Distance", Config{Distance: "ncc"}},
+		{"Mask", Config{Mask: &mask}},
+		{"InitialVelocity", Config{InitialVelocity: &vel}},
+		{"DivPenalty", Config{DivPenalty: 1}},
+		{"ShiftedPrec", Config{ShiftedPrec: true}},
+		{"TwoLevelPrec", Config{TwoLevelPrec: true}},
+		{"FirstOrder", Config{FirstOrder: true}},
+		{"MultilevelLevels", Config{MultilevelLevels: 3}},
+		{"ContinuationBetas", Config{ContinuationBetas: []float64{1e-1, 1e-2}}},
+		{"CheckpointPath", Config{CheckpointPath: filepath.Join(t.TempDir(), "ts.ckpt")}},
+		{"Resume", Config{Resume: true}},
+		{"ChaosSpec", Config{ChaosSpec: "seed=1;site=0:fft-comm:send:0:bitflip"}},
+	} {
+		_, err := RegisterTimeSeries(frames, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s set: err %v, want one naming it", tc.field, err)
+		}
+	}
+	for _, cfg := range []Config{{Precision: "float64"}, {Distance: "l2"}, {MultilevelLevels: 1}} {
+		if err := unsupportedForTimeSeries(cfg.withDefaults()); err != nil {
+			t.Errorf("%+v: default-valued setting rejected: %v", cfg, err)
+		}
 	}
 }
 

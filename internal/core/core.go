@@ -52,10 +52,10 @@ type Config struct {
 	// accumulation. An injected Ops must have been built at this precision.
 	Precision prec.Precision
 	// Ops injects a prebuilt operator set (FFT plan, symbol tables,
-	// spectral workspaces) instead of building one — the plan-cache path of
-	// the job server. The injected Ops must already be bound to pe (see
-	// spectral.Ops.Rebind) and obeys the single-owner contract: it belongs
-	// to this solve's rank goroutine until the solve returns.
+	// spectral workspaces) instead of building one, so RegisterMultilevel
+	// can solve a level on the set it already built for the spectral
+	// transfers. The injected Ops must be built on pe and belongs to this
+	// solve's rank goroutine until the solve returns.
 	Ops *spectral.Ops
 	// OnProgress receives a per-continuation-level event at the start of
 	// each level and a per-iteration event after every accepted step. It
@@ -166,11 +166,6 @@ type Outcome struct {
 	Problem *regopt.Problem
 	Result  *optim.Result[*field.Vector]
 
-	// Ops is the operator set the solve ran on (the injected one when
-	// Config.Ops was set, otherwise freshly built). Callers that pool plans
-	// across jobs harvest it from here after the solve.
-	Ops *spectral.Ops
-
 	V       *field.Vector // optimal velocity (stationary problems)
 	VSeries field.Series  // optimal velocity coefficients (Intervals > 1)
 	U       *field.Vector // displacement of the deformation map, y = x + u
@@ -199,11 +194,11 @@ func Register(pe *grid.Pencil, rhoT, rhoR *field.Scalar, cfg Config) (*Outcome, 
 	if ops == nil {
 		ops = spectral.New(pfft.NewPlanPrec(pe, cfg.Precision))
 	} else if ops.Pe != pe {
-		return nil, fmt.Errorf("core: injected operator set is bound to a different pencil; Rebind it first")
+		return nil, fmt.Errorf("core: injected operator set is built on a different pencil")
 	} else if ops.Precision() != cfg.Precision {
-		// The wire format is baked into the plan's workspace arena, so a
-		// cached operator set built at the other precision must never be
-		// silently reused — this is the bug the vestigial PlanCache key hid.
+		// The wire format is baked into the plan's workspace arena, so an
+		// operator set built at the other precision would silently run the
+		// solve at the wrong width.
 		return nil, fmt.Errorf("core: injected operator set was built at %s but the solve requests %s",
 			ops.Precision(), cfg.Precision)
 	}
@@ -353,7 +348,7 @@ func Register(pe *grid.Pencil, rhoT, rhoR *field.Scalar, cfg Config) (*Outcome, 
 	runtime.ReadMemStats(&memBefore)
 	t0 := time.Now()
 
-	out := &Outcome{Problem: pr, Ops: ops}
+	out := &Outcome{Problem: pr}
 	ts := pr.TS
 	if cfg.Intervals > 1 {
 		sp, err := regopt.NewSeries(pr, cfg.Intervals)

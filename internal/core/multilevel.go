@@ -44,9 +44,9 @@ func RegisterMultilevel(pe *grid.Pencil, rhoT, rhoR *field.Scalar, cfg Config, l
 	fineN := pe.Grid.N
 	fineOps := cfg.Ops
 	if fineOps == nil {
-		fineOps = spectral.New(pfft.NewPlan(pe))
+		fineOps = spectral.New(pfft.NewPlanPrec(pe, cfg.Precision))
 	} else if fineOps.Pe != pe {
-		return nil, nil, fmt.Errorf("core: injected operator set is bound to a different pencil; Rebind it first")
+		return nil, nil, fmt.Errorf("core: injected operator set is built on a different pencil")
 	}
 
 	// The initial misfit of the original (not warm-started) problem, so
@@ -97,7 +97,7 @@ func RegisterMultilevel(pe *grid.Pencil, rhoT, rhoR *field.Scalar, cfg Config, l
 			if err != nil {
 				return nil, nil, err
 			}
-			lOps = spectral.New(pfft.NewPlan(lpe))
+			lOps = spectral.New(pfft.NewPlanPrec(lpe, cfg.Precision))
 			// Restrict the finest images directly to this level through the
 			// distributed spectral transfer.
 			lT = spectral.Resample(fineOps, lOps, rhoT)

@@ -18,7 +18,6 @@ package pfft
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"diffreg/internal/fft"
@@ -27,23 +26,6 @@ import (
 	"diffreg/internal/par"
 	"diffreg/internal/prec"
 )
-
-// planBuilds and arenaGrows count plan constructions and workspace-arena
-// growth events process-wide. They are the observable "pfft allocations" of
-// a solve: a steady-state (warm-plan) run leaves both unchanged, which is
-// what the serve-layer alloc-regression gates assert through the job-server
-// path. Atomic because plans are built concurrently by rank goroutines.
-var (
-	planBuilds atomic.Int64
-	arenaGrows atomic.Int64
-)
-
-// PlanBuilds returns the process-wide number of NewPlan calls.
-func PlanBuilds() int64 { return planBuilds.Load() }
-
-// ArenaGrows returns the process-wide number of workspace-arena growth
-// events (see ensureBatch). Warm plans never grow their arena.
-func ArenaGrows() int64 { return arenaGrows.Load() }
 
 // lineGrain is the chunk granularity for per-line work: one item is a full
 // 1D transform, so a handful of lines per chunk already amortizes the pool
@@ -124,7 +106,6 @@ func NewPlan(pe *grid.Pencil) *Plan { return NewPlanPrec(pe, prec.F64) }
 // the given precision. The local 1D transforms always execute in
 // complex128; only the packed all-to-all payloads narrow.
 func NewPlanPrec(pe *grid.Pencil, p prec.Precision) *Plan {
-	planBuilds.Add(1)
 	n := pe.Grid.N
 	pl := &Plan{Pe: pe, precision: p, m3: fft.HalfLen(n[2])}
 	pl.plan1 = fft.NewPlan(n[0])
@@ -140,38 +121,8 @@ func NewPlanPrec(pe *grid.Pencil, p prec.Precision) *Plan {
 	return pl
 }
 
-// Rebind re-attaches the plan to a pencil of identical geometry on a
-// (possibly) different communicator. Every communicator access in the
-// transform pipeline goes through pl.Pe at call time, and all retained
-// state — 1D plans, workspace arena, pool kernels, spectral layout — is a
-// pure function of the geometry (grid dims, process grid, coordinates), so
-// swapping the pencil is the complete handoff.
-//
-// This is what makes plan caching across solver jobs safe: a plan built
-// inside one mpi world can serve a later job's world, as long as the
-// single-owner contract still holds — a Plan is owned by exactly one rank
-// goroutine at a time, and the caller (the serve-layer PlanCache) must
-// guarantee no two in-flight jobs share it.
-func (pl *Plan) Rebind(pe *grid.Pencil) error {
-	old := pl.Pe
-	if pe.Grid.N != old.Grid.N {
-		return fmt.Errorf("pfft: rebind grid %v onto plan built for %v", pe.Grid.N, old.Grid.N)
-	}
-	if pe.P != old.P || pe.Coord != old.Coord {
-		return fmt.Errorf("pfft: rebind process grid %v coord %v onto plan built for %v coord %v",
-			pe.P, pe.Coord, old.P, old.Coord)
-	}
-	if pe.Lo != old.Lo || pe.Hi != old.Hi {
-		return fmt.Errorf("pfft: rebind local block [%v,%v) onto plan owning [%v,%v)",
-			pe.Lo, pe.Hi, old.Lo, old.Hi)
-	}
-	pl.Pe = pe
-	return nil
-}
-
-// Precision returns the wire-format precision the plan was built at. A
-// cached plan must only be rebound into a solve requesting the same
-// precision: the wire format is baked into the workspace arena.
+// Precision returns the wire-format precision the plan was built at; the
+// wire format is baked into the workspace arena.
 func (pl *Plan) Precision() prec.Precision { return pl.precision }
 
 // buildKernels constructs the three pool kernels once; they read the
@@ -246,7 +197,6 @@ func (pl *Plan) ensureBatch(b int) {
 	if ws.fields >= b {
 		return
 	}
-	arenaGrows.Add(1)
 	prodA := pl.dimsA[0] * pl.dimsA[1] * pl.dimsA[2]
 	prodB := pl.dimsB[0] * pl.dimsB[1] * pl.dimsB[2]
 	ws.stageMax = prodA

@@ -37,7 +37,7 @@ func TestStringAndWireBytes(t *testing.T) {
 		t.Fatalf("WireBytesPerValue: %d, %d", F64.WireBytesPerValue(), F32.WireBytesPerValue())
 	}
 	// Round-trip: Parse(p.String()) is the identity, so canonical strings
-	// written into checkpoints and cache keys always parse back.
+	// written into checkpoints always parse back.
 	for _, p := range []Precision{F64, F32} {
 		if got, err := Parse(p.String()); err != nil || got != p {
 			t.Errorf("Parse(%s.String()) = %v, %v", p, got, err)

@@ -56,8 +56,6 @@ type JobSpec struct {
 	// TimeoutSec overrides the server's default per-job timeout; negative
 	// disables the timeout for this job.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
-	// NoCache opts this job out of the plan cache.
-	NoCache bool `json:"no_cache,omitempty"`
 	// ReturnFields includes the warped template and velocity components in
 	// the result body (large: N^3 floats each).
 	ReturnFields bool `json:"return_fields,omitempty"`
@@ -236,7 +234,6 @@ type JobResult struct {
 	TimeToSolution float64 `json:"time_to_solution"`
 	FFTs           int64   `json:"ffts"`
 	InterpSweeps   int64   `json:"interp_sweeps"`
-	CacheHit       bool    `json:"cache_hit"`
 
 	Warped   []float64   `json:"warped,omitempty"`
 	Velocity [][]float64 `json:"velocity,omitempty"`

@@ -211,18 +211,16 @@ func TestDurabilityStatsJSONShape(t *testing.T) {
 	if !js.Enabled || js.Path == "" {
 		t.Fatalf("journal block: %+v, want enabled with a path", js)
 	}
-	// Fusion, and with it the fusion block, is gone.
-	if _, ok := body["fusion"]; ok {
-		t.Errorf("/stats still carries a fusion block: %s", body["fusion"])
+	// Fusion and the plan cache, and with them their blocks, are gone.
+	for _, key := range []string{"fusion", "cache", "cache_enabled"} {
+		if _, ok := body[key]; ok {
+			t.Errorf("/stats still carries %q: %s", key, body[key])
+		}
 	}
 	var read struct {
 		Failed   *float64 `json:"failed"`
 		Rejected *float64 `json:"rejected"`
-		Cache    struct {
-			Hits   *float64 `json:"hits"`
-			Misses *float64 `json:"misses"`
-		} `json:"cache"`
-		Retries struct {
+		Retries  struct {
 			Scheduled *float64 `json:"scheduled"`
 		} `json:"retries"`
 		Journal struct {
@@ -233,7 +231,6 @@ func TestDurabilityStatsJSONShape(t *testing.T) {
 		t.Fatalf("/stats: %v", err)
 	}
 	for name, v := range map[string]*float64{"failed": read.Failed, "rejected": read.Rejected,
-		"cache.hits": read.Cache.Hits, "cache.misses": read.Cache.Misses,
 		"retries.scheduled": read.Retries.Scheduled, "journal.records": read.Journal.Records} {
 		if v == nil {
 			t.Errorf("/stats lacks %s", name)

@@ -54,6 +54,42 @@ func quickSpec() JobSpec {
 		TimeSteps: 2, MaxNewtonIters: 1}
 }
 
+// TestGeneratorMemo checks the server's generator memo: identical
+// generator specs share one backing array, a different seed is a different
+// entry, and the memo never grows past maxGenEntries.
+func TestGeneratorMemo(t *testing.T) {
+	srv := &Server{}
+	spec := func(seedA int64) *JobSpec {
+		return &JobSpec{Generator: "brain", N: [3]int{16, 16, 16}, SeedA: seedA, SeedB: 2}
+	}
+	a, _, err := srv.volumes(spec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := srv.volumes(spec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.Data[0] != &b.Data[0] {
+		t.Error("identical generator specs did not share the memoized template")
+	}
+	c, _, err := srv.volumes(spec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &c.Data[0] == &a.Data[0] {
+		t.Error("a different seed returned the memoized template of seed 1")
+	}
+	for seed := int64(4); seed < 4+2*maxGenEntries; seed++ {
+		if _, _, err := srv.volumes(spec(seed)); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(srv.gen); n > maxGenEntries {
+			t.Fatalf("memo holds %d entries, cap %d", n, maxGenEntries)
+		}
+	}
+}
+
 // TestAdmissionControl drives the three admission outcomes the API
 // contract promises — accept (202), queue full (429), reject after close
 // (503) — with the worker deterministically pinned busy via the beforeRun
@@ -593,7 +629,7 @@ func TestHTTPStatusEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	sresp.Body.Close()
-	if stats.Done != 1 || !stats.CacheEnabled || stats.Cache.Misses != 1 {
+	if stats.Done != 1 {
 		t.Fatalf("stats: %+v", stats)
 	}
 

@@ -1,3 +1,9 @@
+// Package serve is the registration-as-a-service layer: an HTTP/JSON job
+// server that runs many concurrent registrations through diffreg.Register
+// on a bounded worker pool, with admission control, per-job cooperative
+// timeouts, streamed progress events, a write-ahead job journal, and
+// error-kind-aware retries. Each job builds its own operator set, exactly
+// as a library solve does.
 package serve
 
 import (
@@ -16,8 +22,7 @@ import (
 	"diffreg/internal/mpi"
 )
 
-// Config sizes the server. Zero values take the documented defaults; set
-// CacheEntries negative to disable the plan cache.
+// Config sizes the server. Zero values take the documented defaults.
 type Config struct {
 	// Workers is the number of concurrent solver slots (default 2). Each
 	// running job additionally spawns its own Tasks rank goroutines.
@@ -25,9 +30,6 @@ type Config struct {
 	// QueueDepth bounds the jobs waiting for a worker (default 16).
 	// Submissions beyond the cap are rejected — HTTP 429.
 	QueueDepth int
-	// CacheEntries is the plan-cache capacity in operator-set collections
-	// (default 2*Workers; negative disables caching).
-	CacheEntries int
 	// DefaultTimeout is the per-job cooperative timeout applied when a spec
 	// carries none (0 = no default timeout).
 	DefaultTimeout time.Duration
@@ -82,29 +84,26 @@ func (e *SpecError) Unwrap() error { return e.Err }
 
 // ServerStats is the GET /stats body.
 type ServerStats struct {
-	Workers      int          `json:"workers"`
-	QueueDepth   int          `json:"queue_depth"`
-	Queued       int          `json:"queued"`
-	Running      int64        `json:"running"`
-	Done         int64        `json:"done"`
-	Failed       int64        `json:"failed"`
-	Canceled     int64        `json:"canceled"`
-	Rejected     int64        `json:"rejected"`
-	Deduped      int64        `json:"deduped"`
-	Retained     int          `json:"retained"`
-	Evicted      int64        `json:"evicted"`
-	Cache        CacheStats   `json:"cache"`
-	CacheEnabled bool         `json:"cache_enabled"`
-	Retries      RetryStats   `json:"retries"`
-	Journal      JournalStats `json:"journal"`
+	Workers    int          `json:"workers"`
+	QueueDepth int          `json:"queue_depth"`
+	Queued     int          `json:"queued"`
+	Running    int64        `json:"running"`
+	Done       int64        `json:"done"`
+	Failed     int64        `json:"failed"`
+	Canceled   int64        `json:"canceled"`
+	Rejected   int64        `json:"rejected"`
+	Deduped    int64        `json:"deduped"`
+	Retained   int          `json:"retained"`
+	Evicted    int64        `json:"evicted"`
+	Retries    RetryStats   `json:"retries"`
+	Journal    JournalStats `json:"journal"`
 }
 
 // Server is the registration job server: a bounded queue feeding a fixed
-// worker pool, a job store, and the plan cache. Create with New, serve its
-// Handler over HTTP, stop with Close.
+// worker pool and a job store. Create with New, serve its Handler over
+// HTTP, stop with Close.
 type Server struct {
 	cfg   Config
-	cache *PlanCache // nil when disabled
 	queue chan *Job
 
 	journal *Journal // nil when disabled
@@ -165,12 +164,6 @@ const maxGenEntries = 8
 // backing array across concurrent jobs is safe.
 func (s *Server) volumes(spec *JobSpec) (diffreg.Volume, diffreg.Volume, error) {
 	if spec.Generator == "" {
-		return spec.volumes()
-	}
-	// The generator memo is part of the warm path: a cache-disabled server
-	// (or a NoCache job) regenerates its inputs — and the plans inside the
-	// generator — per job, which is what "cold" means operationally.
-	if s.cache == nil || spec.NoCache {
 		return spec.volumes()
 	}
 	key := genKey{
@@ -241,9 +234,6 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
 	}
-	if cfg.CacheEntries == 0 {
-		cfg.CacheEntries = 2 * cfg.Workers
-	}
 	cfg.Retry = cfg.Retry.withDefaults()
 	if cfg.SpoolDir == "" && cfg.JournalDir != "" && cfg.Retry.enabled() {
 		cfg.SpoolDir = filepath.Join(cfg.JournalDir, "spool")
@@ -271,9 +261,6 @@ func Open(cfg Config) (*Server, error) {
 		idem:            map[string]string{},
 		retryTimers:     map[string]*time.Timer{},
 		journalReplayed: records,
-	}
-	if cfg.CacheEntries > 0 {
-		s.cache = NewPlanCache(cfg.CacheEntries)
 	}
 	nonTerminal := 0
 	for _, r := range replayed {
@@ -458,9 +445,6 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Cache exposes the plan cache (nil when disabled).
-func (s *Server) Cache() *PlanCache { return s.cache }
-
 // Stats snapshots the server counters.
 func (s *Server) Stats() ServerStats {
 	st := ServerStats{
@@ -469,10 +453,6 @@ func (s *Server) Stats() ServerStats {
 		Running: s.running.Load(), Done: s.done.Load(), Failed: s.failed.Load(),
 		Canceled: s.canceled.Load(), Rejected: s.rejected.Load(),
 		Deduped: s.deduped.Load(), Evicted: s.evicted.Load(),
-		CacheEnabled: s.cache != nil,
-	}
-	if s.cache != nil {
-		st.Cache = s.cache.Stats()
 	}
 	st.Retries = RetryStats{
 		Enabled:     s.cfg.Retry.enabled(),
@@ -537,21 +517,6 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// sourceRecorder wraps the cache to record whether this job's lease was a
-// hit (reported in the result body).
-type sourceRecorder struct {
-	pc  *PlanCache
-	hit atomic.Bool
-}
-
-func (r *sourceRecorder) Acquire(n [3]int, tasks int, precision string) diffreg.PlanLease {
-	lease := r.pc.Acquire(n, tasks, precision)
-	if pl, ok := lease.(*planLease); ok && pl.Hit() {
-		r.hit.Store(true)
-	}
-	return lease
-}
-
 // runJob executes one dequeued job end to end.
 func (s *Server) runJob(job *Job) {
 	if !job.setRunning() {
@@ -589,11 +554,6 @@ func (s *Server) runJob(job *Job) {
 			s.retryResumed.Add(1)
 			s.logf("%s attempt %d resuming from spool checkpoint", job.ID, attempt)
 		}
-	}
-	var rec *sourceRecorder
-	if s.cache != nil && !job.Spec.NoCache {
-		rec = &sourceRecorder{pc: s.cache}
-		cfg.Plans = rec
 	}
 	if timeout := job.Spec.effectiveTimeout(s.cfg.DefaultTimeout); timeout > 0 {
 		timer := time.AfterFunc(timeout, func() {
@@ -634,11 +594,11 @@ func (s *Server) runJob(job *Job) {
 		s.logf("%s failed (%s): %v", job.ID, kind, err)
 		return
 	}
-	s.finishSolved(job, res, wall, rec)
+	s.finishSolved(job, res, wall)
 }
 
 // finishSolved maps one completed solve onto the job lifecycle.
-func (s *Server) finishSolved(job *Job, res *diffreg.Result, wall float64, rec *sourceRecorder) {
+func (s *Server) finishSolved(job *Job, res *diffreg.Result, wall float64) {
 	switch {
 	case res.Failed:
 		s.failed.Add(1)
@@ -646,23 +606,23 @@ func (s *Server) finishSolved(job *Job, res *diffreg.Result, wall float64, rec *
 		s.logf("%s failed: %s", job.ID, res.FailReason)
 	case res.Interrupted && job.timedOut.Load():
 		s.failed.Add(1)
-		job.finish(JobFailed, buildResult(res, wall, rec, &job.Spec),
+		job.finish(JobFailed, buildResult(res, wall, &job.Spec),
 			fmt.Sprintf("watchdog: job exceeded its timeout; stopped cooperatively after %d iterations", res.NewtonIters),
 			"timeout", res.Degradations)
 		s.logf("%s timed out after %d iterations", job.ID, res.NewtonIters)
 	case res.Interrupted && job.canceled.Load():
 		s.canceled.Add(1)
-		job.finish(JobCanceled, buildResult(res, wall, rec, &job.Spec), "canceled", "", res.Degradations)
+		job.finish(JobCanceled, buildResult(res, wall, &job.Spec), "canceled", "", res.Degradations)
 		s.logf("%s canceled after %d iterations", job.ID, res.NewtonIters)
 	case res.Interrupted:
 		s.canceled.Add(1)
-		job.finish(JobCanceled, buildResult(res, wall, rec, &job.Spec), "server shutdown", "shutdown", res.Degradations)
+		job.finish(JobCanceled, buildResult(res, wall, &job.Spec), "server shutdown", "shutdown", res.Degradations)
 	default:
 		s.done.Add(1)
 		if job.Attempts() > 1 {
 			s.retryRecovered.Add(1)
 		}
-		job.finish(JobDone, buildResult(res, wall, rec, &job.Spec), "", "", res.Degradations)
+		job.finish(JobDone, buildResult(res, wall, &job.Spec), "", "", res.Degradations)
 		s.logf("%s done: misfit %.3e -> %.3e in %.2fs", job.ID, res.MisfitInit, res.MisfitFinal, wall)
 	}
 }
@@ -678,7 +638,7 @@ func (s *Server) journalAttempt(job *Job) {
 	}
 }
 
-func buildResult(res *diffreg.Result, wall float64, rec *sourceRecorder, spec *JobSpec) *JobResult {
+func buildResult(res *diffreg.Result, wall float64, spec *JobSpec) *JobResult {
 	jr := &JobResult{
 		Converged: res.Converged, Interrupted: res.Interrupted,
 		NewtonIters: res.NewtonIters, HessianMatvecs: res.HessianMatvecs,
@@ -688,9 +648,6 @@ func buildResult(res *diffreg.Result, wall float64, rec *sourceRecorder, spec *J
 		Degradations:   res.Degradations,
 		TimeToSolution: wall,
 		FFTs:           res.FFTs, InterpSweeps: res.InterpSweeps,
-	}
-	if rec != nil {
-		jr.CacheHit = rec.hit.Load()
 	}
 	if spec.ReturnFields {
 		jr.Warped = res.Warped.Data
@@ -714,7 +671,7 @@ const defaultListLimit = 256
 //	GET  /jobs/{id}        job status + result     -> 200 JobStatus | 404
 //	GET  /jobs/{id}/events NDJSON progress stream  -> 200 (blocks until terminal)
 //	POST /jobs/{id}/cancel cooperative cancel      -> 202 {state} | 404
-//	GET  /stats            server + cache counters -> 200 ServerStats
+//	GET  /stats            server counters         -> 200 ServerStats
 //	GET  /healthz          liveness                -> 200 "ok"
 //	GET  /readyz           readiness               -> 200 "ready" | 503 draining/saturated
 //

@@ -101,20 +101,6 @@ func New(plan *pfft.Plan) *Ops {
 	return o
 }
 
-// Rebind re-attaches the operator set (and its plan) to a pencil of
-// identical geometry on a different communicator — see pfft.Plan.Rebind.
-// The symbol tables, workspaces, and kernels are pure functions of the
-// geometry, so they carry over unchanged; only the communicator handle
-// moves. The single-owner contract is unchanged: a rebound Ops must still
-// be used by exactly one rank goroutine at a time.
-func (o *Ops) Rebind(pe *grid.Pencil) error {
-	if err := o.Plan.Rebind(pe); err != nil {
-		return err
-	}
-	o.Pe = pe
-	return nil
-}
-
 // Precision returns the hot-path precision of the underlying transform
 // plan; the symbol tables themselves always stay float64.
 func (o *Ops) Precision() prec.Precision { return o.Plan.Precision() }

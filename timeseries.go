@@ -9,6 +9,7 @@ import (
 	"diffreg/internal/mpi"
 	"diffreg/internal/optim"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 	"diffreg/internal/regopt"
 	"diffreg/internal/spectral"
 	"diffreg/internal/transport"
@@ -53,10 +54,17 @@ type TimeSeriesResult struct {
 // With cfg.VelocityIntervals == len(frames)-1 the velocity becomes
 // time-varying (one coefficient per frame interval) — the full optical
 // flow setting of §V, which captures motion that changes direction
-// between frames. Distance, MultilevelLevels and FirstOrder are not
-// supported here.
+// between frames. The solve runs at float64 with the L2 misfit and the
+// spectral preconditioner: setting Precision (other than float64),
+// Distance (other than L2), Mask, InitialVelocity, DivPenalty,
+// ShiftedPrec, TwoLevelPrec, FirstOrder, MultilevelLevels > 1,
+// ContinuationBetas, CheckpointPath, Resume or ChaosSpec returns an error
+// naming the field.
 func RegisterTimeSeries(frames []Volume, cfg Config) (*TimeSeriesResult, error) {
 	cfg = cfg.withDefaults()
+	if err := unsupportedForTimeSeries(cfg); err != nil {
+		return nil, err
+	}
 	if len(frames) < 2 {
 		return nil, fmt.Errorf("diffreg: need at least 2 frames, got %d", len(frames))
 	}
@@ -107,6 +115,9 @@ func RegisterTimeSeries(frames []Volume, cfg Config) (*TimeSeriesResult, error) 
 		nopt := optim.DefaultNewtonOptions()
 		nopt.GradTol = cfg.GradTol
 		nopt.MaxIters = cfg.MaxNewtonIters
+		if cfg.MaxKrylovIters > 0 {
+			nopt.MaxKrylov = cfg.MaxKrylovIters
+		}
 		if cfg.Verbose && cfg.Logf != nil && c.Rank() == 0 {
 			nopt.Log = cfg.Logf
 		}
@@ -247,4 +258,44 @@ func SyntheticSequence(n1, n2, n3, nFrames, nt int, amplitude float64) ([]Volume
 		return nil, err
 	}
 	return frames, nil
+}
+
+// unsupportedForTimeSeries rejects every Config field RegisterTimeSeries
+// does not read, when it is set to anything but its default, so a setting
+// is never silently dropped.
+func unsupportedForTimeSeries(cfg Config) error {
+	p, err := prec.Parse(cfg.Precision)
+	if err != nil {
+		return fmt.Errorf("diffreg: %w", err)
+	}
+	var name string
+	switch {
+	case p != prec.F64:
+		name = "Precision " + p.String()
+	case cfg.Distance != "" && cfg.Distance != "l2" && cfg.Distance != "L2":
+		name = "Distance " + cfg.Distance
+	case cfg.Mask != nil:
+		name = "Mask"
+	case cfg.InitialVelocity != nil:
+		name = "InitialVelocity"
+	case cfg.DivPenalty != 0:
+		name = "DivPenalty"
+	case cfg.ShiftedPrec:
+		name = "ShiftedPrec"
+	case cfg.TwoLevelPrec:
+		name = "TwoLevelPrec"
+	case cfg.FirstOrder:
+		name = "FirstOrder"
+	case cfg.MultilevelLevels > 1:
+		name = "MultilevelLevels"
+	case len(cfg.ContinuationBetas) > 0:
+		name = "ContinuationBetas"
+	case cfg.CheckpointPath != "" || cfg.Resume:
+		name = "CheckpointPath/Resume"
+	case cfg.ChaosSpec != "":
+		name = "ChaosSpec"
+	default:
+		return nil
+	}
+	return fmt.Errorf("diffreg: RegisterTimeSeries does not support %s", name)
 }
