@@ -16,6 +16,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/metrics"
+	"strings"
 	"sync/atomic"
 	"syscall"
 
@@ -23,6 +25,8 @@ import (
 	"diffreg/internal/grid"
 	"diffreg/internal/imaging"
 	"diffreg/internal/mpi"
+	"diffreg/internal/prec"
+	"diffreg/internal/transport"
 )
 
 func main() {
@@ -134,6 +138,16 @@ func main() {
 		os.Exit(130)
 	}()
 
+	// The live heap as of the last collection, sampled at every progress
+	// event; events come from rank 0 only.
+	var maxLive uint64
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	sampleLive := func() {
+		metrics.Read(live)
+		maxLive = max(maxLive, live[0].Value.Uint64())
+	}
+	cfg.OnProgress = func(diffreg.ProgressEvent) { sampleLive() }
+
 	res, err := diffreg.Register(tmpl, ref, cfg)
 	if err != nil {
 		var comm *mpi.CommError
@@ -186,6 +200,9 @@ func main() {
 	fmt.Printf("time to solution: %.3fs (fft comm %.4fs, fft exec %.4fs, interp comm %.4fs, interp exec %.4fs)\n",
 		ph.TimeToSolution, ph.FFTComm, ph.FFTExec, ph.InterpComm, ph.InterpExec)
 	fmt.Printf("work:             %d 3D FFTs, %d interpolation sweeps\n", res.FFTs, res.InterpSweeps)
+	sampleLive()
+	fmt.Printf("memory:           max live heap %.1f MB at progress events, VmHWM %s; model %s\n",
+		mb(int64(maxLive)), vmHWM(), memoryModel(tmpl.N, cfg))
 
 	if *out != "" {
 		if err := writeResults(*out, res, tmpl, ref); err != nil {
@@ -194,6 +211,52 @@ func main() {
 		fmt.Printf("results written to %s\n", *out)
 	}
 }
+
+// memoryModel formats transport.MemoryPerRank (§III-C4) summed over the
+// ranks of the solve, on the pencils the solve itself runs on.
+func memoryModel(n [3]int, cfg diffreg.Config) string {
+	pr, err := prec.Parse(cfg.Precision)
+	if err != nil {
+		return "unavailable: " + err.Error()
+	}
+	g, err := grid.New(n[0], n[1], n[2])
+	if err != nil {
+		return "unavailable: " + err.Error()
+	}
+	var total float64
+	_, err = mpi.Run(max(cfg.Tasks, 1), mpi.DefaultCostModel(), func(c *mpi.Comm) error {
+		pe, err := grid.NewPencil(g, c)
+		if err != nil {
+			return err
+		}
+		sum := c.AllreduceSum(float64(transport.MemoryModel(pe, cfg.TimeSteps, pr)))
+		if c.Rank() == 0 {
+			total = sum
+		}
+		return nil
+	})
+	if err != nil {
+		return "unavailable: " + err.Error()
+	}
+	return fmt.Sprintf("%.1f MB (MemoryPerRank over %d ranks)", mb(int64(total)), max(cfg.Tasks, 1))
+}
+
+// vmHWM reads the process's peak resident set size from /proc/self/status.
+func vmHWM() string {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return "unavailable"
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		var kb int64
+		if _, err := fmt.Sscanf(line, "VmHWM: %d kB", &kb); err == nil {
+			return fmt.Sprintf("%.1f MB", mb(kb<<10))
+		}
+	}
+	return "unavailable"
+}
+
+func mb(bytes int64) float64 { return float64(bytes) / (1 << 20) }
 
 func loadRaw(path string, n1, n2, n3 int) (diffreg.Volume, error) {
 	if path == "" {

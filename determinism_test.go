@@ -1,6 +1,7 @@
 package diffreg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -11,7 +12,8 @@ import (
 // test for the shared-memory worker pool: a two-rank registration run with
 // pool size 1 must be bit-identical — velocity fields, misfit, gradient
 // norms, and the whole iteration history — to the same run with a
-// multi-worker pool. This holds because chunk boundaries and reduction
+// multi-worker pool, and so must the map products (warped template,
+// displacement, det grad y). This holds because chunk boundaries and reduction
 // association in package par depend only on the trip count, never on the
 // worker count (see the par package comment).
 func TestRegistrationBitIdenticalAcrossPoolSizes(t *testing.T) {
@@ -76,9 +78,18 @@ func TestRegistrationBitIdenticalAcrossPoolSizes(t *testing.T) {
 			t.Errorf("velocity[%d]: %d of %d values differ bitwise", d, diffs, len(sd))
 		}
 	}
-	for k := range serial.Warped.Data {
-		if math.Float64bits(serial.Warped.Data[k]) != math.Float64bits(pooled.Warped.Data[k]) {
-			t.Fatalf("warped image differs at %d", k)
+	maps := map[string][2]Volume{"warped image": {serial.Warped, pooled.Warped}, "det grad y": {serial.DetGrad, pooled.DetGrad}}
+	for d := 0; d < 3; d++ {
+		maps[fmt.Sprintf("displacement[%d]", d)] = [2]Volume{serial.Displacement[d], pooled.Displacement[d]}
+	}
+	for name, vols := range maps {
+		if len(vols[0].Data) == 0 || len(vols[0].Data) != len(vols[1].Data) {
+			t.Fatalf("%s: lengths %d vs %d", name, len(vols[0].Data), len(vols[1].Data))
+		}
+		for k := range vols[0].Data {
+			if math.Float64bits(vols[0].Data[k]) != math.Float64bits(vols[1].Data[k]) {
+				t.Fatalf("%s differs at %d", name, k)
+			}
 		}
 	}
 }

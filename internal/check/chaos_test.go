@@ -152,8 +152,9 @@ func finiteVal(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // TestCheckpointResumeBitIdentical is the restart gate: interrupt a solve
 // mid-run (flushing a checkpoint), resume it, and require the final
-// velocity and misfit to be bit-identical to the uninterrupted run — at
-// both 1 and 4 ranks.
+// velocity, misfit and map products (displacement, warped template,
+// det grad y) to be bit-identical to the uninterrupted run — at both 1
+// and 4 ranks.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("checkpoint gate is long; run without -short (dedicated CI job)")
@@ -222,6 +223,22 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			}
 			if len(rres.History) != len(full.History) {
 				t.Errorf("history length %d vs %d", len(rres.History), len(full.History))
+			}
+			// The map reconstruction inherits the last iterate's context in
+			// both runs; its products must match bit for bit as well.
+			maps := map[string][2]diffreg.Volume{"warped": {rres.Warped, full.Warped}, "det": {rres.DetGrad, full.DetGrad}}
+			for d := 0; d < 3; d++ {
+				maps[fmt.Sprintf("displacement[%d]", d)] = [2]diffreg.Volume{rres.Displacement[d], full.Displacement[d]}
+			}
+			for name, vols := range maps {
+				if len(vols[0].Data) == 0 || len(vols[0].Data) != len(vols[1].Data) {
+					t.Fatalf("%s: lengths %d vs %d", name, len(vols[0].Data), len(vols[1].Data))
+				}
+				for i := range vols[1].Data {
+					if math.Float64bits(vols[0].Data[i]) != math.Float64bits(vols[1].Data[i]) {
+						t.Fatalf("%s value %d: %v vs %v — resume is not bit-identical", name, i, vols[0].Data[i], vols[1].Data[i])
+					}
+				}
 			}
 		})
 	}

@@ -417,7 +417,11 @@ func Register(pe *grid.Pencil, rhoT, rhoR *field.Scalar, cfg Config) (*Outcome, 
 		// Map reconstruction needs a usable velocity; an interrupted or
 		// failed solve skips it (the caller gets the iterate itself).
 		if !cfg.SkipMap && !res.Interrupted && !res.Failed {
-			out.U = ts.Displacement(pr.Context(res.V))
+			// The map reconstruction reads only the accepted iterate's
+			// context; the rest of the last evaluation goes before it runs.
+			ctx := pr.Context(res.V)
+			pr.Release()
+			out.U = ts.Displacement(ctx)
 		}
 	}
 	out.CheckpointErr = ckptErr

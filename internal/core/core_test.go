@@ -246,8 +246,6 @@ func TestRegisterMultilevel(t *testing.T) {
 	// fewer fine-grid Hessian matvecs than the single-level solve.
 	g := grid.MustNew(24, 24, 24)
 	for _, p := range []int{1, 2} {
-		var singleMatvecs, singleIters int
-		var singleMisfit float64
 		_, err := mpi.Run(p, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
 			pe, err := grid.NewPencil(g, c)
 			if err != nil {
@@ -261,9 +259,11 @@ func TestRegisterMultilevel(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			singleMatvecs = out.Counts.Matvecs
-			singleIters = out.Counts.NewtonIters
-			singleMisfit = out.MisfitFinal
+			// Rank-local: the counts are collective, so every rank holds
+			// the same values without sharing a variable.
+			singleMatvecs := out.Counts.Matvecs
+			singleIters := out.Counts.NewtonIters
+			singleMisfit := out.MisfitFinal
 
 			rhoT2 := imaging.SyntheticTemplate(pe)
 			rhoR2 := imaging.MakeReference(ops, rhoT2, imaging.SyntheticVelocity(pe), 4, false)
@@ -428,5 +428,54 @@ func TestInterpSweepsMatchClosedForm(t *testing.T) {
 			}
 			return nil
 		})
+	}
+}
+
+// TestMapBitIdenticalToFreshContext: the map reconstruction gives the same
+// words whether it inherits the accepted iterate's context (a converged
+// solve) or builds it afresh (a failed line search, alpha = 0, where the
+// cached evaluation is the last rejected trial's), and they are the words
+// of a displacement solved here on a context built from the returned
+// velocity. The rebuild costs the forward plan's 3 sweeps on top of the
+// closed form of TestInterpSweepsMatchClosedForm.
+func TestMapBitIdenticalToFreshContext(t *testing.T) {
+	for _, p := range []int{1, 2} {
+		for _, lsFail := range []bool{false, true} {
+			cfg := DefaultConfig()
+			if lsFail {
+				// No step can meet this sufficient-decrease constant, on the
+				// Newton direction or on the steepest-descent retry.
+				cfg.Newton.ArmijoC1 = 1e6
+				cfg.Newton.MaxLineSearch = 2
+			}
+			runSynthetic(t, 16, p, cfg, func(pe *grid.Pencil, out *Outcome) error {
+				h := out.Result.History
+				failed := len(h) > 0 && h[len(h)-1].Step == 0
+				if failed != lsFail || out.U == nil {
+					t.Errorf("p=%d lsFail=%v: line search failed %v, map built %v", p, lsFail, failed, out.U != nil)
+					return nil
+				}
+				pr := out.Problem
+				nt := int64(cfg.Opt.Nt)
+				e, g, m := int64(pr.StateSolves), int64(pr.AdjointSolves), int64(pr.Matvecs)
+				want := e*(3+nt) + g*(3+1+nt) + m*2*nt + (3*nt + 1)
+				if lsFail {
+					want += 3
+				}
+				if got := out.Counts.InterpSweeps; got != want {
+					t.Errorf("p=%d lsFail=%v: %d interpolation sweeps, want %d", p, lsFail, got, want)
+				}
+				u := pr.TS.Displacement(pr.TS.NewContext(out.V, cfg.Opt.Incompressible))
+				for d := 0; d < 3; d++ {
+					for i, x := range u.C[d].Data {
+						if math.Float64bits(x) != math.Float64bits(out.U.C[d].Data[i]) {
+							t.Errorf("p=%d lsFail=%v: displacement component %d differs at %d", p, lsFail, d, i)
+							return nil
+						}
+					}
+				}
+				return nil
+			})
+		}
 	}
 }

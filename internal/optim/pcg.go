@@ -47,6 +47,8 @@ type CGResult struct {
 // A breakdown (non-finite recurrence or diverging residual) before any
 // progress triggers one restart with the identity preconditioner, which
 // rescues the step when the preconditioner is the corrupted operator.
+// prec must return a vector of its own, neither its argument nor one it
+// keeps: the search direction is updated in place in that vector.
 func PCG[T Vec[T]](matvec, prec func(T) T, b T, rtol float64, maxIter int) (T, CGResult) {
 	x, res := pcgRun(matvec, prec, b, rtol, maxIter)
 	if res.Breakdown && res.Iters == 0 {
@@ -76,7 +78,7 @@ func pcgRun[T Vec[T]](matvec, prec func(T) T, b T, rtol float64, maxIter int) (T
 		return x, res
 	}
 	z := prec(r)
-	p := z.Clone()
+	p := z
 	rz := r.Dot(z)
 	if !finite(rz) {
 		res.Breakdown = true
@@ -118,10 +120,9 @@ func pcgRun[T Vec[T]](matvec, prec func(T) T, b T, rtol float64, maxIter int) (T
 		}
 		beta := rzNew / rz
 		rz = rzNew
-		// p = z + beta*p
-		pNew := z.Clone()
-		pNew.Axpy(beta, p)
-		p = pNew
+		// p = z + beta*p, formed in z, which is not read again.
+		z.Axpy(beta, p)
+		p = z
 	}
 	return x, res
 }

@@ -7,7 +7,9 @@ import "diffreg/internal/field"
 // formulation or algorithm if we would consider other, popular distance
 // measures", §II-A): a measure supplies its value, the terminal adjoint
 // condition lambda(1) = -dD/d(rho1) of eq. (3), and the terminal condition
-// of the incremental adjoint, lambda~(1) = -(d^2 D) rho~(1).
+// of the incremental adjoint, lambda~(1) = -(d^2 D) rho~(1). The methods
+// must not modify their arguments: rho1 is a view of the cached state
+// trajectory.
 type Distance interface {
 	Name() string
 	// Eval returns D(rho1, rhoR).

@@ -12,15 +12,22 @@ import (
 type Driver struct {
 	P *Problem
 	// Cur is the evaluation at the last EvalGradient point; HessMatVec
-	// applies the Hessian there.
+	// applies the Hessian there. It is nil again once Evaluate is called
+	// at another velocity.
 	Cur *Eval
 }
 
 // Driver returns the optimizer-facing view of the problem.
 func (p *Problem) Driver() *Driver { return &Driver{P: p} }
 
-// Evaluate implements optim.Objective.
+// Evaluate implements optim.Objective. Evaluating a velocity other than
+// the gradient point starts a line search, after which the optimizer asks
+// for no matvec there, so the gradient point's evaluation is released
+// before the trial's is built.
 func (d *Driver) Evaluate(v *field.Vector) optim.ObjVals {
+	if d.Cur != nil && d.Cur.V != v {
+		d.Cur = nil
+	}
 	e := d.P.Evaluate(v)
 	return optim.ObjVals{J: e.J, Misfit: e.Misfit}
 }

@@ -130,6 +130,12 @@ func New(ops *spectral.Ops, rhoT, rhoR *field.Scalar, opt Options) (*Problem, er
 // Eval caches everything computed at one velocity iterate: the transport
 // context (departure plans), the state and adjoint trajectories, the state
 // gradients reused by the Hessian matvecs, and the objective values.
+//
+// What it holds shrinks to what the next caller can read. Evaluate fills
+// V, Ctx, States and the objective values. EvalGradient adds GradRho, G
+// and Gnorm, and then keeps of the trajectories only what HessMatVec
+// reads: States[Nt] (the other States entries are nil) and, under full
+// Newton only, Lambdas (nil under Gauss-Newton).
 type Eval struct {
 	V       *field.Vector
 	Ctx     *transport.Context
@@ -177,10 +183,17 @@ func (p *Problem) Project(v *field.Vector) *field.Vector {
 // state trajectory is retained and the evaluation is cached under the
 // identity of v: when the line search accepts a candidate and the
 // optimizer asks for its gradient, EvalGradient finds the transport solve
-// already done. The per-trial trajectory storage ((nt+1) N^3/p values) is
-// transient, so the §III-C4 memory accounting is unchanged in steady
-// state.
+// already done.
+//
+// The problem holds one evaluation at a time. The previous one (a
+// rejected trial, or the gradient point the line search started from) is
+// released before this one is built, so a line-search trial holds one
+// context and one state trajectory, (nt+1) N^3/p values, on top of the
+// optimizer's vectors. A Hessian matvec at the gradient point therefore
+// needs EvalGradient to have run after the last Evaluate, which is the
+// order every optimizer in package optim calls them in.
 func (p *Problem) Evaluate(v *field.Vector) *Eval {
+	p.lastEval = nil
 	// Collective finiteness pre-check: a non-finite velocity (a corrupted
 	// Krylov step or line-search candidate) would otherwise surface as a
 	// BadPointError deep in the semi-Lagrangian plan and abort the world.
@@ -223,11 +236,26 @@ func (p *Problem) Context(v *field.Vector) *transport.Context {
 	return p.TS.NewContext(v, p.Opt.Incompressible)
 }
 
-// rho1Of wraps the final state slice as a scalar field view.
-func (p *Problem) rho1Of(states [][]float64) *field.Scalar {
-	out := field.NewScalar(p.Pe)
-	copy(out.Data, states[p.Opt.Nt])
+// Release drops the cached evaluation, and with it the last iterate's
+// trajectories, state gradients and transport context (a caller that
+// still needs the context takes it with Context first). A finished solve
+// calls it: nothing past the optimizer reads the evaluation.
+func (p *Problem) Release() { p.lastEval = nil }
+
+// finalOnly returns a trajectory that holds only a copy of the last slice
+// of states, rho(1), which is all a Hessian matvec reads of it; the slab
+// behind the other slices can then be collected before the adjoint's is
+// allocated.
+func finalOnly(states [][]float64) [][]float64 {
+	out := make([][]float64, len(states))
+	out[len(out)-1] = append([]float64(nil), states[len(states)-1]...)
 	return out
+}
+
+// rho1Of wraps the final state slice as a scalar field view (the
+// distance measures only read it).
+func (p *Problem) rho1Of(states [][]float64) *field.Scalar {
+	return &field.Scalar{P: p.Pe, Data: states[p.Opt.Nt]}
 }
 
 // finishObjective fills the objective terms from the state trajectory.
@@ -253,10 +281,18 @@ func (p *Problem) divGamma() float64 {
 
 // EvalGradient computes the objective and the reduced L2 gradient (4):
 // g = beta*A*v + P * int_0^1 lambda grad(rho) dt.
-// It also caches the state gradients and adjoint trajectory for the
-// subsequent Hessian matvecs of this Newton iteration.
+// It also caches the state gradients (and, under full Newton, the adjoint
+// trajectory) for the subsequent Hessian matvecs of this Newton iteration.
+// The state slices before t = 1 are released once their gradients are
+// formed, and under Gauss-Newton the adjoint trajectory once the gradient
+// has read it: no matvec reads them. Asked again at the same iterate, it
+// evaluates afresh: the trajectories are gone, and the options may have
+// changed since (the Taylor checks switch to full Newton at one iterate).
 func (p *Problem) EvalGradient(v *field.Vector) *Eval {
 	e := p.cachedEval(v)
+	if e.G != nil {
+		e = p.Evaluate(v)
+	}
 	if e.Poisoned {
 		// No transport state exists; report a NaN gradient norm (tripping
 		// the optimizer's non-finite guard) and skip the preconditioner
@@ -266,19 +302,20 @@ func (p *Problem) EvalGradient(v *field.Vector) *Eval {
 		return e
 	}
 	lamT := p.Opt.dist().TerminalAdjoint(p.rho1Of(e.States), p.RhoR)
-	e.Lambdas = p.TS.Adjoint(e.Ctx, lamT)
-	p.AdjointSolves++
 	if p.gradRhoT[0] == nil {
 		p.gradRhoT = p.TS.GradSlices(e.States[:1])[0]
 	}
 	e.GradRho = append([][3][]float64{p.gradRhoT}, p.TS.GradSlices(e.States[1:])...)
+	e.States = finalOnly(e.States)
+	e.Lambdas = p.TS.Adjoint(e.Ctx, lamT)
+	p.AdjointSolves++
 
 	b := p.accumulateB(e.Lambdas, e.GradRho)
+	if p.Opt.GaussNewton {
+		e.Lambdas = nil
+	}
 	g := e.av // A v of the objective, computed at the same v
 	e.av = nil
-	if g == nil {
-		g = p.regApply(v)
-	}
 	g.Scale(p.Opt.Beta)
 	g.Axpy(1, p.Project(b))
 	if gamma := p.divGamma(); gamma > 0 {
@@ -364,19 +401,16 @@ func (p *Problem) HessMatVec(e *Eval, vt *field.Vector) *field.Vector {
 	incStates := p.TS.IncState(e.Ctx, e.GradRho, vt)
 	term := p.Opt.dist().IncTerminal(p.rho1Of(e.States), p.RhoR, incStates[p.Opt.Nt])
 
-	var lamsT [][]float64
+	var bt *field.Vector
 	if p.Opt.GaussNewton {
-		lamsT = p.TS.IncAdjointGN(e.Ctx, term)
+		// Nothing reads rho~ past its terminal value, so its trajectory
+		// is garbage before the incremental adjoint allocates its own.
+		bt = p.accumulateB(p.TS.IncAdjointGN(e.Ctx, term), e.GradRho)
 	} else {
-		lamsT = p.TS.IncAdjointNewton(e.Ctx, e.Lambdas, vt, term)
-	}
-
-	bt := p.accumulateB(lamsT, e.GradRho)
-	if !p.Opt.GaussNewton {
+		lamsT := p.TS.IncAdjointNewton(e.Ctx, e.Lambdas, vt, term)
+		bt = p.accumulateB(lamsT, e.GradRho)
 		// Full Newton: b~ also carries int lam grad(rho~) dt.
-		gradInc := p.TS.GradSlices(incStates)
-		bt2 := p.accumulateB(e.Lambdas, gradInc)
-		bt.Axpy(1, bt2)
+		bt.Axpy(1, p.accumulateB(e.Lambdas, p.TS.GradSlices(incStates)))
 	}
 
 	h := p.regApply(vt)

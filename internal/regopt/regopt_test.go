@@ -9,12 +9,20 @@ import (
 	"diffreg/internal/mpi"
 	"diffreg/internal/optim"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 	"diffreg/internal/spectral"
 )
 
 // setup builds a small synthetic problem: the reference is the template
 // advected by a known velocity, as in §IV-A1 of the paper.
 func setup(t *testing.T, g grid.Grid, p int, opt Options, fn func(pr *Problem) error) {
+	t.Helper()
+	setupPrec(t, g, p, prec.F64, opt, fn)
+}
+
+// setupPrec is setup with the problem's operators built at the given
+// precision; the reference is advected at float64 whatever it is.
+func setupPrec(t *testing.T, g grid.Grid, p int, precision prec.Precision, opt Options, fn func(pr *Problem) error) {
 	t.Helper()
 	_, err := mpi.Run(p, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
 		pe, err := grid.NewPencil(g, c)
@@ -40,6 +48,9 @@ func setup(t *testing.T, g grid.Grid, p int, opt Options, fn func(pr *Problem) e
 		ctx := prTmp.TS.NewContext(vStar, false)
 		rhoR := field.NewScalar(pe)
 		copy(rhoR.Data, prTmp.TS.State(ctx, rhoT)[opt.Nt])
+		if precision != prec.F64 {
+			ops = spectral.New(pfft.NewPlanPrec(pe, precision))
+		}
 		pr, err := New(ops, rhoT, rhoR, opt)
 		if err != nil {
 			return err
@@ -298,9 +309,10 @@ func TestCountersIncrement(t *testing.T) {
 
 // TestGradientReusesObjectiveTerms: the gradient takes A v from the
 // objective evaluation and grad rho_T from the first gradient, and gives
-// the same words as recomputing both — also when the optimizer asks twice
-// for the gradient of one iterate (after a failed line search), by which
-// time the evaluation's A v has been consumed.
+// the same words as recomputing both from a fresh transport solve — also
+// when the gradient of one iterate is asked for twice, by which time the
+// first evaluation's A v has been consumed and its trajectories released,
+// so the second call evaluates afresh.
 func TestGradientReusesObjectiveTerms(t *testing.T) {
 	g := grid.MustNew(12, 12, 12)
 	for _, p := range []int{1, 4} {
@@ -309,10 +321,12 @@ func TestGradientReusesObjectiveTerms(t *testing.T) {
 			first := pr.EvalGradient(v).G.Clone()
 			again := pr.EvalGradient(v).G
 			// The uncached terms, recomputed here.
-			e := pr.cachedEval(v)
+			ctx := pr.TS.NewContext(v, pr.Opt.Incompressible)
+			states := pr.TS.State(ctx, pr.RhoT)
+			lams := pr.TS.Adjoint(ctx, pr.Opt.dist().TerminalAdjoint(pr.rho1Of(states), pr.RhoR))
 			want := pr.regApply(v)
 			want.Scale(pr.Opt.Beta)
-			want.Axpy(1, pr.accumulateB(e.Lambdas, pr.TS.GradSlices(e.States)))
+			want.Axpy(1, pr.accumulateB(lams, pr.TS.GradSlices(states)))
 			for d := 0; d < 3; d++ {
 				if !sameWords(first.C[d].Data, want.C[d].Data) || !sameWords(again.C[d].Data, want.C[d].Data) {
 					t.Errorf("p=%d: gradient component %d differs from the recomputed one", p, d)

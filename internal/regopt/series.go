@@ -57,9 +57,15 @@ type SeriesEval struct {
 	Gnorm  float64
 }
 
-// evaluate runs the forward solve and fills the objective values.
+// evaluate runs the forward solve and fills the objective values. As in
+// Problem.Evaluate, the previous evaluation, and the gradient point when
+// vs is another iterate, are released before the new one is built.
 func (sp *SeriesProblem) evaluate(vs field.Series) (*SeriesEval, error) {
 	p := sp.P
+	sp.lastEval = nil
+	if sp.cur != nil && !sameSeries(sp.cur.V, vs) {
+		sp.cur = nil
+	}
 	sc, err := p.TS.NewSeriesContext(vs, p.Opt.Incompressible)
 	if err != nil {
 		return nil, err
@@ -140,17 +146,26 @@ func (sp *SeriesProblem) accumulateBInterval(c int, lams [][]float64, gradRho []
 }
 
 // EvalGradient implements optim.Objective: the per-interval reduced
-// gradients, cached for the Hessian matvecs.
+// gradients, cached for the Hessian matvecs. The (Gauss-Newton) matvec
+// reads only the state gradients and rho(1), so the other state slices
+// and the adjoint trajectory are released once the gradient has read
+// them; asked again at the same iterate, it evaluates afresh.
 func (sp *SeriesProblem) EvalGradient(vs field.Series) optim.GradVals[field.Series] {
 	p := sp.P
 	e, err := sp.cachedEval(vs)
 	if err != nil {
 		panic(err)
 	}
+	if e.G != nil {
+		if e, err = sp.evaluate(vs); err != nil {
+			panic(err)
+		}
+	}
 	lamT := p.Opt.dist().TerminalAdjoint(p.rho1Of(e.States), p.RhoR)
+	e.GradRho = p.TS.GradSlices(e.States)
+	e.States = finalOnly(e.States)
 	e.Lambdas = p.TS.AdjointSeries(e.SC, lamT)
 	p.AdjointSolves++
-	e.GradRho = p.TS.GradSlices(e.States)
 
 	g := make(field.Series, sp.NC)
 	for c := 0; c < sp.NC; c++ {
@@ -169,6 +184,7 @@ func (sp *SeriesProblem) EvalGradient(vs field.Series) optim.GradVals[field.Seri
 		}
 		g[c] = gc
 	}
+	e.Lambdas = nil
 	e.G = g
 	e.Gnorm = g.NormL2()
 	sp.cur = e

@@ -69,7 +69,7 @@ func NewTwoLevelPrec(p *Problem, coarseIters int) (*TwoLevelPrec, error) {
 	if err != nil {
 		return nil, err
 	}
-	cops := spectral.New(pfft.NewPlan(cpe))
+	cops := spectral.New(pfft.NewPlanPrec(cpe, p.Ops.Precision()))
 	rhoTc := spectral.Resample(p.Ops, cops, p.RhoT)
 	rhoRc := spectral.Resample(p.Ops, cops, p.RhoR)
 	copt := p.Opt

@@ -8,6 +8,7 @@ import (
 	"diffreg/internal/grid"
 	"diffreg/internal/optim"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 	"diffreg/internal/spectral"
 )
 
@@ -103,4 +104,42 @@ func TestTransferScalarRoundTrip(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestTwoLevelFloat32CoarseOps: a float32 problem's two-level
+// preconditioner builds its coarse operator set at float32 too, and the
+// solve takes the float64 twin's Newton count and lands on its misfit.
+func TestTwoLevelFloat32CoarseOps(t *testing.T) {
+	g := grid.MustNew(16, 16, 16)
+	for _, p := range []int{1, 4} {
+		iters := map[prec.Precision]int{}
+		misfits := map[prec.Precision]float64{}
+		for _, pr := range []prec.Precision{prec.F64, prec.F32} {
+			opt := DefaultOptions()
+			opt.TwoLevelPrec = true
+			setupPrec(t, g, p, pr, opt, func(prob *Problem) error {
+				res := optim.GaussNewton[*field.Vector](prob.Driver(), field.NewVector(prob.Pe), optim.DefaultNewtonOptions())
+				if prob.tl == nil {
+					t.Errorf("p=%d %v: no two-level preconditioner was built", p, pr)
+					return nil
+				}
+				if got := prob.tl.Coarse.Ops.Precision(); got != pr {
+					t.Errorf("p=%d: fine operators at %v, coarse at %v", p, pr, got)
+				}
+				if !res.Converged {
+					t.Errorf("p=%d %v: not converged", p, pr)
+				}
+				if prob.Pe.Comm.Rank() == 0 {
+					iters[pr], misfits[pr] = res.Iters, res.MisfitLast
+				}
+				return nil
+			})
+		}
+		if iters[prec.F32] != iters[prec.F64] {
+			t.Errorf("p=%d: float32 took %d Newton iterations, float64 %d", p, iters[prec.F32], iters[prec.F64])
+		}
+		if rel := math.Abs(misfits[prec.F32]-misfits[prec.F64]) / misfits[prec.F64]; rel > 1e-4 {
+			t.Errorf("p=%d: float32 misfit %g vs float64 %g (rel %g)", p, misfits[prec.F32], misfits[prec.F64], rel)
+		}
+	}
 }

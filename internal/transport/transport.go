@@ -10,6 +10,7 @@ package transport
 import (
 	"diffreg/internal/field"
 	"diffreg/internal/grid"
+	"diffreg/internal/prec"
 	"diffreg/internal/semilag"
 	"diffreg/internal/spectral"
 )
@@ -417,10 +418,16 @@ func SuggestTimeSteps(v *field.Vector, target float64, minSteps int) int {
 // become excessive and more sophisticated checkpointing schemes are
 // required — which are more expensive").
 func (s *Solver) MemoryPerRank() int64 {
-	local := int64(s.Pe.LocalTotal())
-	values := int64(2*s.Nt+5)*local + int64(3*(s.Nt+1))*local
+	return MemoryModel(s.Pe, s.Nt, s.Ops.Precision())
+}
+
+// MemoryModel is MemoryPerRank for a solver with nt time steps at
+// precision pr on pencil pe, without building one.
+func MemoryModel(pe *grid.Pencil, nt int, pr prec.Precision) int64 {
+	local := int64(pe.LocalTotal())
+	values := int64(2*nt+5)*local + int64(3*(nt+1))*local
 	plans := 2 * local * semilag.PlanBytesPerPoint
-	padded := int64(semilag.NewGhost(s.Pe).PaddedLen()) * int64(s.Ops.Precision().WireBytesPerValue())
+	padded := int64(semilag.NewGhost(pe).PaddedLen()) * int64(pr.WireBytesPerValue())
 	return 8*values + plans + padded
 }
 
