@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"runtime/metrics"
 	"strings"
 	"sync/atomic"
@@ -138,17 +139,10 @@ func main() {
 		os.Exit(130)
 	}()
 
-	// The live heap as of the last collection, sampled at every progress
-	// event; events come from rank 0 only.
-	var maxLive uint64
-	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
-	sampleLive := func() {
-		metrics.Read(live)
-		maxLive = max(maxLive, live[0].Value.Uint64())
-	}
-	cfg.OnProgress = func(diffreg.ProgressEvent) { sampleLive() }
-
+	var live livePeak
+	live.arm()
 	res, err := diffreg.Register(tmpl, ref, cfg)
+	live.stop()
 	if err != nil {
 		var comm *mpi.CommError
 		if errors.As(err, &comm) {
@@ -200,9 +194,8 @@ func main() {
 	fmt.Printf("time to solution: %.3fs (fft comm %.4fs, fft exec %.4fs, interp comm %.4fs, interp exec %.4fs)\n",
 		ph.TimeToSolution, ph.FFTComm, ph.FFTExec, ph.InterpComm, ph.InterpExec)
 	fmt.Printf("work:             %d 3D FFTs, %d interpolation sweeps\n", res.FFTs, res.InterpSweeps)
-	sampleLive()
-	fmt.Printf("memory:           max live heap %.1f MB at progress events, VmHWM %s; model %s\n",
-		mb(int64(maxLive)), vmHWM(), memoryModel(tmpl.N, cfg))
+	fmt.Printf("memory:           max live heap %.1f MB over %d collections, VmHWM %s; model %s\n",
+		mb(int64(live.max.Load())), live.cycles.Load(), vmHWM(), memoryModel(tmpl.N, cfg))
 
 	if *out != "" {
 		if err := writeResults(*out, res, tmpl, ref); err != nil {
@@ -211,6 +204,38 @@ func main() {
 		fmt.Printf("results written to %s\n", *out)
 	}
 }
+
+// livePeak is the largest live heap any garbage collection has marked
+// (the third figure of a GODEBUG=gctrace=1 line). A sentinel's finalizer
+// reads /gc/heap/live:bytes after each cycle that finds the sentinel
+// unreachable and arms a fresh one, on the runtime's finalizer goroutine;
+// after stop the last sentinel is not replaced. A cycle that starts before
+// the finalizer of the one before it has run goes unsampled.
+type livePeak struct {
+	max, cycles atomic.Uint64
+	stopped     atomic.Bool
+}
+
+// gcSentinel holds a pointer, so it is never tiny-allocated (the tiny
+// allocator may batch an object with others and delay its finalizer).
+type gcSentinel struct{ lp *livePeak }
+
+func (lp *livePeak) arm() {
+	runtime.SetFinalizer(&gcSentinel{lp}, func(s *gcSentinel) {
+		live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(live)
+		// Finalizers run one at a time, so this is the only writer.
+		if v := live[0].Value.Uint64(); v > s.lp.max.Load() {
+			s.lp.max.Store(v)
+		}
+		s.lp.cycles.Add(1)
+		if !s.lp.stopped.Load() {
+			s.lp.arm()
+		}
+	})
+}
+
+func (lp *livePeak) stop() { lp.stopped.Store(true) }
 
 // memoryModel formats transport.MemoryPerRank (§III-C4) summed over the
 // ranks of the solve, on the pencils the solve itself runs on.

@@ -68,7 +68,9 @@ type Plan struct {
 
 // workspace is the plan-owned arena reused across transforms. It grows to
 // the largest batch size seen and is never shrunk, so steady-state calls
-// allocate nothing.
+// allocate nothing. It holds only the buffers the plan's decomposition
+// runs: bufB and its headers exist only under a split column communicator,
+// the send slabs only when some transpose runs.
 type workspace struct {
 	fields     int            // batch capacity (B)
 	stageMax   int            // max local elements at any pipeline stage
@@ -206,21 +208,29 @@ func (pl *Plan) ensureBatch(b int) {
 	if t := pl.SpecLocalTotal(); t > ws.stageMax {
 		ws.stageMax = t
 	}
+	// bufA is every pipeline's first (forward) or working copy (inverse)
+	// buffer; bufB is the middle stage, which only a column transpose needs.
+	// The send slabs pack the transposes, so a plan with none has none.
+	qRow, qCol := pl.Pe.Row.Size(), pl.Pe.Col.Size()
 	for len(ws.bufA) < b {
 		ws.bufA = append(ws.bufA, make([]complex128, ws.stageMax))
-		ws.bufB = append(ws.bufB, make([]complex128, ws.stageMax))
+		if qCol > 1 {
+			ws.bufB = append(ws.bufB, make([]complex128, ws.stageMax))
+		}
 	}
 	ws.hdrA = make([][]complex128, b)
-	ws.hdrB = make([][]complex128, b)
-	if q := max(pl.Pe.P[0], pl.Pe.P[1]); len(ws.send) < q {
-		ws.send = make([][]complex128, q)
+	if qCol > 1 {
+		ws.hdrB = make([][]complex128, b)
 	}
-	if pl.precision == prec.F32 {
-		if q := max(pl.Pe.P[0], pl.Pe.P[1]); len(ws.send32) < q {
+	if q := max(qRow, qCol); q > 1 && pl.precision == prec.F32 {
+		if len(ws.send32) < q {
 			ws.send32 = make([][]float32, q)
 		}
 		ws.sendSlab32 = make([]float32, 2*b*ws.stageMax)
-	} else {
+	} else if q > 1 {
+		if len(ws.send) < q {
+			ws.send = make([][]complex128, q)
+		}
 		ws.sendSlab = make([]complex128, b*ws.stageMax)
 	}
 	n := pl.Pe.Grid.N

@@ -285,9 +285,11 @@ func (p *Problem) divGamma() float64 {
 // trajectory) for the subsequent Hessian matvecs of this Newton iteration.
 // The state slices before t = 1 are released once their gradients are
 // formed, and under Gauss-Newton the adjoint trajectory once the gradient
-// has read it: no matvec reads them. Asked again at the same iterate, it
-// evaluates afresh: the trajectories are gone, and the options may have
-// changed since (the Taylor checks switch to full Newton at one iterate).
+// has read it: no matvec reads them. The planner's build scratch goes
+// too, once the adjoint plan is built (transport.Solver.EndPlanning).
+// Asked again at the same iterate, it evaluates afresh: the trajectories
+// are gone, and the options may have changed since (the Taylor checks
+// switch to full Newton at one iterate).
 func (p *Problem) EvalGradient(v *field.Vector) *Eval {
 	e := p.cachedEval(v)
 	if e.G != nil {
@@ -301,6 +303,10 @@ func (p *Problem) EvalGradient(v *field.Vector) *Eval {
 		e.Gnorm = math.NaN()
 		return e
 	}
+	// The adjoint plan is the last plan of this Newton step: built first,
+	// the planner's build scratch goes before the state gradients and the
+	// adjoint trajectory are allocated, and stays gone through the matvecs.
+	p.TS.EndPlanning(e.Ctx)
 	lamT := p.Opt.dist().TerminalAdjoint(p.rho1Of(e.States), p.RhoR)
 	if p.gradRhoT[0] == nil {
 		p.gradRhoT = p.TS.GradSlices(e.States[:1])[0]

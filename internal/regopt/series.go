@@ -149,7 +149,8 @@ func (sp *SeriesProblem) accumulateBInterval(c int, lams [][]float64, gradRho []
 // gradients, cached for the Hessian matvecs. The (Gauss-Newton) matvec
 // reads only the state gradients and rho(1), so the other state slices
 // and the adjoint trajectory are released once the gradient has read
-// them; asked again at the same iterate, it evaluates afresh.
+// them, and the planner's build scratch once every interval's adjoint plan
+// is built; asked again at the same iterate, it evaluates afresh.
 func (sp *SeriesProblem) EvalGradient(vs field.Series) optim.GradVals[field.Series] {
 	p := sp.P
 	e, err := sp.cachedEval(vs)
@@ -161,6 +162,7 @@ func (sp *SeriesProblem) EvalGradient(vs field.Series) optim.GradVals[field.Seri
 			panic(err)
 		}
 	}
+	p.TS.EndPlanning(e.SC.Ctxs...)
 	lamT := p.Opt.dist().TerminalAdjoint(p.rho1Of(e.States), p.RhoR)
 	e.GradRho = p.TS.GradSlices(e.States)
 	e.States = finalOnly(e.States)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"unsafe"
 
 	"diffreg/internal/field"
 	"diffreg/internal/grid"
@@ -100,6 +101,7 @@ type workspace struct {
 	build buildScratch
 	f64   gatherScratch[float64]
 	f32   gatherScratch[float32]
+	grows int // builds that found build released or never grown
 }
 
 // gatherScratch is the interpolation half of a workspace at one precision:
@@ -166,7 +168,8 @@ func (g *gatherScratch[T]) gather(pl *Plan, pads, vals [][]T) {
 // buildScratch is the transient state of one scatter: the owner tables of
 // the two split dimensions, each query point's owner, the per-destination
 // coordinate payloads, the unsorted stencil cells of a received batch and
-// the counting-sort histogram.
+// the counting-sort histogram. A zero buildScratch has been released; the
+// next build grows it afresh.
 type buildScratch struct {
 	own1    []int32 // dimension-0 cell -> rank offset of its owner row
 	own2    []int32 // dimension-1 cell -> owner column
@@ -287,6 +290,15 @@ func NewPlanPrec(pe *grid.Pencil, pts [3][]float64, pr prec.Precision) *Plan {
 	return pl
 }
 
+// release drops the plan's query points: its index and stencil arrays and
+// its outputs. The plan is unusable until the next Reset.
+func (pl *Plan) release() {
+	for r := range pl.sendIdx {
+		pl.sendIdx[r], pl.recvPts[r], pl.cells[r], pl.origIdx[r] = nil, nil, nil, nil
+	}
+	pl.NQ, pl.outsScr = 0, nil
+}
+
 // newPlan returns a plan with no query points yet.
 func newPlan(pe *grid.Pencil, pr prec.Precision, ws *workspace) *Plan {
 	p := pe.Comm.Size()
@@ -310,6 +322,9 @@ func newPlan(pe *grid.Pencil, pr prec.Precision, ws *workspace) *Plan {
 // of each received batch into stencil form.
 func (pl *Plan) Reset(pts [3][]float64) {
 	scr := &pl.ws.build
+	if scr.sendPts == nil {
+		pl.ws.grows++
+	}
 	pe := pl.Pe
 	p := pe.Comm.Size()
 	nq := len(pts[0])
@@ -528,7 +543,12 @@ func (pl *Plan) Interp(f []float64) []float64 { return pl.InterpMany(f)[0] }
 // plan of the intermediate star points (half of all plan builds, and dead
 // after the one three-field gather of v(X*)), rebuilt in place per trace;
 // the coordinate arrays; and the build and gather scratch, shared by every
-// plan it builds. A Planner belongs to one rank goroutine.
+// plan it builds.
+//
+// Only the gather scratch is read between builds. The rest — coordinates,
+// star plan, build scratch, about 130 bytes per point — is kept across the
+// builds of a burst (the 2–3 of a Newton step) and dropped by ReleaseBuild
+// once the burst is over. A Planner belongs to one rank goroutine.
 type Planner struct {
 	ws   workspace
 	star *Plan
@@ -541,6 +561,55 @@ func NewPlanner(pe *grid.Pencil, pr prec.Precision) *Planner {
 	pn := new(Planner)
 	pn.star = newPlan(pe, pr, &pn.ws)
 	return pn
+}
+
+// ReleaseBuild drops everything the planner keeps only for building
+// plans: the coordinate arrays, the star plan's arrays and outputs, and the
+// build scratch. The gather scratch every plan's sweeps read stays, and so
+// do the plans already built. The next build grows what it needs afresh.
+func (pn *Planner) ReleaseBuild() {
+	pn.pts = [3][]float64{}
+	pn.star.release()
+	pn.ws.build = buildScratch{}
+}
+
+// Held is what a planner holds, in bytes by who reads it, and how often its
+// build scratch has been grown.
+type Held struct {
+	Coords int64 // departure coordinates
+	Star   int64 // the star plan's index and stencil arrays and outputs
+	Build  int64 // owner tables, payloads, unsorted cells, histogram
+	Gather int64 // padded fields, halo block, value buffers
+	Grows  int   // builds that started from released (or never grown) scratch
+}
+
+// Held reports what the planner holds.
+func (pn *Planner) Held() Held {
+	st := pn.star
+	b := &pn.ws.build
+	return Held{
+		Coords: bytesOf(pn.pts[:]...),
+		Star: bytesOf(st.sendIdx...) + bytesOf(st.recvPts...) + bytesOf(st.cells...) +
+			bytesOf(st.origIdx...) + bytesOf(st.outsScr...),
+		Build: bytesOf(b.own1, b.own2, b.owner, b.cells, b.hist) + bytesOf(b.fill) +
+			bytesOf(b.sendPts...),
+		Gather: pn.ws.f64.bytes() + pn.ws.f32.bytes(),
+		Grows:  pn.ws.grows,
+	}
+}
+
+// bytes is the gather scratch's footprint.
+func (g *gatherScratch[T]) bytes() int64 {
+	return bytesOf(g.pads...) + bytesOf(g.blk) + bytesOf(g.vals...)
+}
+
+// bytesOf sums the capacities of slices in bytes.
+func bytesOf[E any](ss ...[]E) int64 {
+	var n int64
+	for _, s := range ss {
+		n += int64(cap(s)) * int64(unsafe.Sizeof(*new(E)))
+	}
+	return n
 }
 
 // NewPlan builds a plan for the given query points (see NewPlan) on the

@@ -430,3 +430,54 @@ func TestInterpManyZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPlannerReleaseBuild: ReleaseBuild leaves a planner holding only its
+// gather scratch; the plans it built before still interpolate bit for bit
+// as they did, and the plans it builds after — the scratch grown afresh,
+// counted once — are bit-identical to the ones built before, at both
+// precisions.
+func TestPlannerReleaseBuild(t *testing.T) {
+	g := grid.MustNew(12, 12, 12)
+	f := globalRandom(g.N, 81)
+	for _, p := range []int{1, 4} {
+		for _, pr := range []prec.Precision{prec.F64, prec.F32} {
+			_, err := mpi.Run(p, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
+				pe, err := grid.NewPencil(g, c)
+				if err != nil {
+					return err
+				}
+				lf := localOf(pe, f)
+				v := field.NewVector(pe)
+				v.SetFunc(func(x1, x2, x3 float64) (float64, float64, float64) {
+					return math.Cos(x1) * math.Sin(x2), math.Cos(x2) * math.Sin(x1), math.Cos(x1) * math.Sin(x3)
+				})
+				pn := NewPlanner(pe, pr)
+				before := pn.NewPlan(pn.Departure(v, 0.25))
+				want := append([]float64(nil), before.Interp(lf)...)
+				if h := pn.Held(); h.Coords == 0 || h.Star == 0 || h.Build == 0 || h.Grows != 1 {
+					t.Errorf("p=%d %v: a warm planner holds %+v", p, pr, h)
+				}
+				pn.ReleaseBuild()
+				if h := pn.Held(); h.Coords != 0 || h.Star != 0 || h.Build != 0 || h.Gather == 0 {
+					t.Errorf("p=%d %v: after ReleaseBuild the planner holds %+v", p, pr, h)
+				}
+				after := pn.NewPlan(pn.Departure(v, 0.25))
+				if h := pn.Held(); h.Grows != 2 {
+					t.Errorf("p=%d %v: build scratch grown %d times, want 2", p, pr, h.Grows)
+				}
+				for name, got := range map[string][]float64{"kept plan": before.Interp(lf), "rebuilt plan": after.Interp(lf)} {
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Errorf("p=%d %v: %s differs at %d: %v != %v", p, pr, name, i, got[i], want[i])
+							break
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -28,7 +28,7 @@ type Solver struct {
 
 	// planner builds every interpolation plan of this solver; it owns the
 	// RK2 star-point plan, rebuilt in place per trace, and the scratch the
-	// plans share.
+	// plans share. EndPlanning drops all of it but the gather scratch.
 	planner *semilag.Planner
 }
 
@@ -122,6 +122,30 @@ func (ctx *Context) adjPlan() *semilag.Plan {
 		}
 	}
 	return ctx.adj
+}
+
+// EndPlanning builds the adjoint half of each context, the last plans a
+// Newton step at these velocities needs, and then drops the planner's
+// build-only state (semilag.Planner.ReleaseBuild): the Hessian matvecs
+// that follow build no plan, so until the next line search the planner
+// holds only its gather scratch. A plan does not depend on the transported
+// field, so building the adjoint half here rather than at the first
+// adjoint step changes no result. Collective.
+func (s *Solver) EndPlanning(ctxs ...*Context) {
+	for _, ctx := range ctxs {
+		ctx.adjPlan()
+	}
+	if s.planner != nil {
+		s.planner.ReleaseBuild()
+	}
+}
+
+// PlanScratch reports what the solver's planner holds.
+func (s *Solver) PlanScratch() semilag.Held {
+	if s.planner == nil {
+		return semilag.Held{}
+	}
+	return s.planner.Held()
 }
 
 // State solves the forward transport equation (2b) with initial condition
@@ -423,6 +447,16 @@ func (s *Solver) MemoryPerRank() int64 {
 
 // MemoryModel is MemoryPerRank for a solver with nt time steps at
 // precision pr on pencil pe, without building one.
+//
+// It counts the transport state of one Newton step and nothing else. Left
+// out, and measured in DESIGN §5c′: the FFT plan's arena (stage buffers,
+// transpose slab, line scratch) and the spectral symbol tables; the
+// optimizer's vectors (Newton iterate, gradient, step, PCG's x, r, p);
+// the planner's gather scratch beyond one padded field (value buffers,
+// halo block, the padded fields of a three-field call); the plans'
+// outputs; and the planner's build-time scratch — coordinates, RK2 star
+// plan, scatter payloads — which lives only from a line search to the
+// next gradient (Solver.EndPlanning).
 func MemoryModel(pe *grid.Pencil, nt int, pr prec.Precision) int64 {
 	local := int64(pe.LocalTotal())
 	values := int64(2*nt+5)*local + int64(3*(nt+1))*local
