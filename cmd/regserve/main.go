@@ -7,13 +7,13 @@
 // Each job runs as one distributed solve on one worker. -pprof ADDR
 // serves net/http/pprof on a separate listener.
 //
-// Durability (see README, "Durability and retries"): -journal DIR enables
-// the write-ahead job journal — kill the process, restart it with the
-// same -journal, and every accepted-but-unfinished job re-runs. -retries
-// N grants each job N total attempts; transient communication failures
-// are retried with exponential backoff (-retry-backoff), resuming from a
-// spooled checkpoint when the solve flavor supports it. -retain caps the
-// terminal jobs kept queryable.
+// Durability (see README, "Durability"): -journal DIR enables the
+// write-ahead job journal — kill the process, restart it with the same
+// -journal, and every accepted-but-unfinished job re-runs. -spool DIR
+// checkpoints every job whose solve flavor supports it after each outer
+// iteration, so a re-run resumes where the killed process stopped. A
+// failed job stays failed: nothing is retried. -retain caps the terminal
+// jobs kept queryable.
 //
 // Submit a job and watch it:
 //
@@ -49,9 +49,7 @@ func main() {
 	pool := flag.Int("pool", 0, "shared-memory worker pool size (0 = GOMAXPROCS)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	journal := flag.String("journal", "", "write-ahead job journal directory (empty disables; restart with the same directory to recover)")
-	spool := flag.String("spool", "", "checkpoint spool directory for retryable jobs (default JOURNAL/spool when -journal and -retries are on)")
-	retries := flag.Int("retries", 1, "total attempts per job; > 1 retries transient comm failures with backoff")
-	retryBackoff := flag.Duration("retry-backoff", 250*time.Millisecond, "backoff before the second attempt (doubles per attempt, capped at 30s)")
+	spool := flag.String("spool", "", "checkpoint spool directory: a job re-run after a restart resumes from its last checkpoint (empty disables)")
 	retain := flag.Int("retain", 0, "terminal jobs kept queryable (0 = default 1024, negative = unlimited)")
 	quiet := flag.Bool("q", false, "suppress per-job log lines")
 	flag.Parse()
@@ -69,7 +67,6 @@ func main() {
 		DefaultTimeout: *timeout,
 		JournalDir:     *journal,
 		SpoolDir:       *spool,
-		Retry:          serve.RetryPolicy{MaxAttempts: *retries, Backoff: *retryBackoff},
 		Retain:         *retain,
 		Logf:           logf,
 	})

@@ -189,8 +189,8 @@ type ProgressEvent = core.ProgressEvent
 // velocity iterate, so grid continuation (MultilevelLevels > 1) and
 // non-stationary velocities (VelocityIntervals > 1) are incompatible —
 // Register rejects CheckpointPath/Resume for them. Supervisors that
-// checkpoint jobs defensively (the regserve retry spool) use this to know
-// which jobs must recover from scratch instead.
+// checkpoint jobs defensively (the regserve checkpoint spool) use this to
+// know which jobs must recover from scratch instead.
 func (c Config) Checkpointable() bool {
 	return c.MultilevelLevels <= 1 && c.VelocityIntervals <= 1
 }

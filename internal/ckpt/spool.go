@@ -1,9 +1,10 @@
 package ckpt
 
-// Checkpoint spooling for the serving layer: a retryable job runs with its
-// CheckpointPath pointed into a per-server spool directory, so a failed
-// attempt leaves behind the last good optimizer state and the next attempt
-// resumes from it bit-identically instead of from scratch. The helpers
+// Checkpoint spooling for the serving layer: a job runs with its
+// CheckpointPath pointed into a per-server spool directory, so an attempt
+// cut short by a crash leaves behind the last good optimizer state and the
+// attempt that journal replay starts resumes from it bit-identically
+// instead of from scratch. The helpers
 // here keep the path discipline and the cheap pre-Load validation in one
 // place; full structural validation (CRC, payload plausibility) stays in
 // Load.

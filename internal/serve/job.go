@@ -249,11 +249,10 @@ type JobStatus struct {
 	Events       int        `json:"events"`
 	Result       *JobResult `json:"result,omitempty"`
 
-	// Attempts counts execution attempts started (0 while first-queued;
-	// > 1 means the retry supervisor re-ran the job). NextRetry is set
-	// while the job waits out a retry backoff.
-	Attempts  int        `json:"attempts,omitempty"`
-	NextRetry *time.Time `json:"next_retry,omitempty"`
+	// Attempts counts execution attempts started, one per process
+	// lifetime that ran the job (0 while first-queued; > 1 means a journal
+	// replay re-ran the job after a restart).
+	Attempts int `json:"attempts,omitempty"`
 }
 
 // Job is one tracked registration. The solver's stop flag is plain atomic
@@ -275,10 +274,7 @@ type Job struct {
 	errMsg       string
 	errKind      string
 	degradations []string
-	attempts     int       // execution attempts started
-	nextRetry    time.Time // zero unless waiting out a retry backoff
-	lastErr      string    // last attempt's failure, kept across retries
-	lastKind     string
+	attempts     int // execution attempts started
 
 	// onTerminal, when set (by the server), runs exactly once after the
 	// job reaches a terminal state, outside j.mu and before done closes —
@@ -300,7 +296,7 @@ func newJob(id string, spec JobSpec) *Job {
 
 // newReplayedJob reconstructs a job from the journal at server restart.
 // A non-terminal replay comes back queued with its pre-crash attempt
-// count (the budget spans restarts); a terminal replay is a stub holding
+// count, so Attempts spans restarts; a terminal replay is a stub holding
 // the journaled outcome — results are not journaled, so it has none.
 func newReplayedJob(r *ReplayedJob) *Job {
 	j := newJob(r.ID, r.Spec)
@@ -340,16 +336,11 @@ func (j *Job) Result() *JobResult {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
+	return JobStatus{
 		ID: j.ID, State: j.state, Error: j.errMsg, ErrorKind: j.errKind,
 		Degradations: j.degradations, Events: len(j.events), Result: j.result,
 		Attempts: j.attempts,
 	}
-	if !j.nextRetry.IsZero() {
-		t := j.nextRetry
-		st.NextRetry = &t
-	}
-	return st
 }
 
 // Attempts returns the number of execution attempts started.
@@ -397,26 +388,8 @@ func (j *Job) setRunning() bool {
 	}
 	j.state = JobRunning
 	j.attempts++
-	j.nextRetry = time.Time{}
 	j.appendLockedEvent(Event{Kind: "state", State: JobRunning})
 	return true
-}
-
-// setQueuedForRetry transitions running -> queued for the retry
-// supervisor, recording the failed attempt's error and the scheduled next
-// attempt time. The transition is announced on the event stream as a
-// "retry" event so watchers can tell a re-queue from the initial queue.
-func (j *Job) setQueuedForRetry(errMsg, errKind string, next time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	j.state = JobQueued
-	j.lastErr = errMsg
-	j.lastKind = errKind
-	j.nextRetry = next
-	j.appendLockedEvent(Event{Kind: "retry", State: JobQueued})
 }
 
 // finish moves the job to a terminal state exactly once.
@@ -431,7 +404,6 @@ func (j *Job) finish(state JobState, result *JobResult, errMsg, errKind string, 
 	j.errMsg = errMsg
 	j.errKind = errKind
 	j.degradations = degradations
-	j.nextRetry = time.Time{}
 	j.appendLockedEvent(Event{Kind: "state", State: state})
 	cb := j.onTerminal
 	j.mu.Unlock()

@@ -91,6 +91,9 @@ type JournalStats struct {
 	// Recovered the non-terminal jobs that were re-queued from them.
 	Replayed  int `json:"replayed"`
 	Recovered int `json:"recovered"`
+	// Resumed counts attempts that resumed from a spool checkpoint
+	// (Config.SpoolDir) instead of starting from scratch.
+	Resumed int64 `json:"resumed"`
 	// WriteError reports a sticky append failure (journaling is disabled
 	// from the first failed write onward).
 	WriteError string `json:"write_error,omitempty"`

@@ -8,10 +8,11 @@ package serve
 //   - crash/restart: a server rebuilt from a journal snapshotted mid-run
 //     re-runs every accepted-but-unfinished job and reproduces the
 //     uninterrupted results bit-for-bit;
-//   - retry supervisor: chaos-injected comm failures are retried and the
-//     recovered results match the fault-free baseline exactly;
-//   - checkpoint-carrying recovery: a retried attempt resumes from the
-//     spool checkpoint and still lands on the uninterrupted trajectory;
+//   - a replayed chaos job reproduces its injected fault: replay re-runs
+//     the journaled spec as it was accepted, so the job ends failed/comm;
+//   - checkpoint-carrying recovery: an attempt that finds a spool
+//     checkpoint resumes from it and still lands on the uninterrupted
+//     trajectory;
 //   - idempotency keys dedupe client retries, across restarts included;
 //   - the retention ring bounds terminal-job memory;
 //   - event streams and /readyz cooperate with shutdown.
@@ -156,31 +157,21 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	}
 }
 
-// TestDurabilityStatsJSONShape pins the /stats retries and journal block
-// wire formats and checks they ride inside GET /stats, next to every
-// counter the benchmark's service workload reads.
+// TestDurabilityStatsJSONShape pins the /stats journal block wire format
+// and checks it rides inside GET /stats, next to every counter the
+// benchmark's service workload reads.
 func TestDurabilityStatsJSONShape(t *testing.T) {
-	b, err := json.Marshal(RetryStats{Enabled: true, MaxAttempts: 3,
-		Scheduled: 2, Resumed: 1, Recovered: 1, Exhausted: 0, Pending: 1})
+	b, err := json.Marshal(JournalStats{Enabled: true, Path: "/j/journal.ndjson",
+		Records: 7, Replayed: 3, Recovered: 1, Resumed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"enabled":true,"max_attempts":3,"scheduled":2,"resumed":1,"recovered":1,"exhausted":0,"pending":1}`
-	if got := strings.TrimSpace(string(b)); got != want {
-		t.Fatalf("retry stats JSON drifted:\n got %s\nwant %s", got, want)
-	}
-	b, err = json.Marshal(JournalStats{Enabled: true, Path: "/j/journal.ndjson",
-		Records: 7, Replayed: 3, Recovered: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = `{"enabled":true,"path":"/j/journal.ndjson","records":7,"replayed":3,"recovered":1}`
+	want := `{"enabled":true,"path":"/j/journal.ndjson","records":7,"replayed":3,"recovered":1,"resumed":1}`
 	if got := strings.TrimSpace(string(b)); got != want {
 		t.Fatalf("journal stats JSON drifted:\n got %s\nwant %s", got, want)
 	}
 
-	srv := mustOpen(t, Config{Workers: 1, JournalDir: t.TempDir(),
-		Retry: RetryPolicy{MaxAttempts: 2}})
+	srv := mustOpen(t, Config{Workers: 1, JournalDir: t.TempDir()})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -197,13 +188,6 @@ func TestDurabilityStatsJSONShape(t *testing.T) {
 	if err := json.Unmarshal(raw, &body); err != nil {
 		t.Fatal(err)
 	}
-	var rs RetryStats
-	if err := json.Unmarshal(body["retries"], &rs); err != nil {
-		t.Fatalf("/stats retries block: %v", err)
-	}
-	if !rs.Enabled || rs.MaxAttempts != 2 {
-		t.Fatalf("retries block: %+v, want enabled with max_attempts 2", rs)
-	}
 	var js JournalStats
 	if err := json.Unmarshal(body["journal"], &js); err != nil {
 		t.Fatalf("/stats journal block: %v", err)
@@ -211,8 +195,9 @@ func TestDurabilityStatsJSONShape(t *testing.T) {
 	if !js.Enabled || js.Path == "" {
 		t.Fatalf("journal block: %+v, want enabled with a path", js)
 	}
-	// Fusion and the plan cache, and with them their blocks, are gone.
-	for _, key := range []string{"fusion", "cache", "cache_enabled"} {
+	// Fusion, the plan cache and the retry supervisor, and with them their
+	// blocks, are gone.
+	for _, key := range []string{"fusion", "cache", "cache_enabled", "retries"} {
 		if _, ok := body[key]; ok {
 			t.Errorf("/stats still carries %q: %s", key, body[key])
 		}
@@ -220,18 +205,16 @@ func TestDurabilityStatsJSONShape(t *testing.T) {
 	var read struct {
 		Failed   *float64 `json:"failed"`
 		Rejected *float64 `json:"rejected"`
-		Retries  struct {
-			Scheduled *float64 `json:"scheduled"`
-		} `json:"retries"`
-		Journal struct {
+		Journal  struct {
 			Records *float64 `json:"records"`
+			Resumed *float64 `json:"resumed"`
 		} `json:"journal"`
 	}
 	if err := json.Unmarshal(raw, &read); err != nil {
 		t.Fatalf("/stats: %v", err)
 	}
 	for name, v := range map[string]*float64{"failed": read.Failed, "rejected": read.Rejected,
-		"retries.scheduled": read.Retries.Scheduled, "journal.records": read.Journal.Records} {
+		"journal.records": read.Journal.Records, "journal.resumed": read.Journal.Resumed} {
 		if v == nil {
 			t.Errorf("/stats lacks %s", name)
 		}
@@ -316,6 +299,41 @@ func copyJournal(t *testing.T, src, dst string) {
 	}
 }
 
+// journalAtCrashPoint runs specs on a server whose workers pause right
+// after journaling each job's attempt and returns a snapshot of its journal
+// taken while every job is paused there: accepted and attempt records, no
+// terminal ones. The server runs one worker per spec, so every job gets
+// there.
+func journalAtCrashPoint(t *testing.T, specs ...JobSpec) string {
+	t.Helper()
+	dir1, dir2 := t.TempDir(), t.TempDir()
+	gate := make(chan struct{})
+	var gateOnce sync.Once
+	openGate := func() { gateOnce.Do(func() { close(gate) }) }
+	defer openGate()
+	started := make(chan string, len(specs))
+	srv := mustOpen(t, Config{
+		Workers: len(specs), JournalDir: dir1,
+		beforeRun: func(j *Job) { started <- j.ID; <-gate },
+	})
+	for _, spec := range specs {
+		if _, err := srv.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range specs {
+		select {
+		case <-started:
+		case <-time.After(time.Minute):
+			t.Fatal("workers never reached the crash point")
+		}
+	}
+	copyJournal(t, dir1, dir2)
+	openGate()
+	srv.Close()
+	return dir2
+}
+
 // TestCrashRestartBattery is the durability gate: jobs accepted and
 // started (but not finished) before a crash must re-run on restart and
 // land bit-identically on the uninterrupted results, idempotency keys
@@ -330,42 +348,11 @@ func TestCrashRestartBattery(t *testing.T) {
 	baseA := serialBaseline(t, specA)
 	baseB := serialBaseline(t, specB)
 
-	dir1, dir2 := t.TempDir(), t.TempDir()
-	gate := make(chan struct{})
-	var gateOnce sync.Once
-	openGate := func() { gateOnce.Do(func() { close(gate) }) }
-	defer openGate()
-	started := make(chan string, 4)
-	srv1 := mustOpen(t, Config{
-		Workers: 2, JournalDir: dir1,
-		Retry:     RetryPolicy{MaxAttempts: 2, Backoff: 10 * time.Millisecond},
-		beforeRun: func(j *Job) { started <- j.ID; <-gate },
-	})
-	if _, err := srv1.Submit(specA); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv1.Submit(specB); err != nil {
-		t.Fatal(err)
-	}
-	// Both attempts journaled and paused: this is the crash point. The
-	// snapshot sees accepted+attempt records and no terminal ones.
-	for i := 0; i < 2; i++ {
-		select {
-		case <-started:
-		case <-time.After(time.Minute):
-			t.Fatal("workers never reached the crash point")
-		}
-	}
-	copyJournal(t, dir1, dir2)
-	openGate()
-	srv1.Close()
+	dir2 := journalAtCrashPoint(t, specA, specB)
 
 	// "Restart": rebuild from the snapshot. Both jobs replay non-terminal
 	// and re-run to completion under their original IDs.
-	srv2 := mustOpen(t, Config{
-		Workers: 2, JournalDir: dir2,
-		Retry: RetryPolicy{MaxAttempts: 2, Backoff: 10 * time.Millisecond},
-	})
+	srv2 := mustOpen(t, Config{Workers: 2, JournalDir: dir2})
 	defer srv2.Close()
 	if st := srv2.Stats(); st.Journal.Recovered != 2 || st.Journal.Replayed != 4 {
 		t.Fatalf("replay stats: recovered %d (want 2), replayed %d (want 4)",
@@ -428,80 +415,24 @@ func TestCrashRestartBattery(t *testing.T) {
 	}
 }
 
-// TestRetrySoakUnderChaos: with retries enabled, chaos-injected comm
-// failures must be absorbed — every job reaches done, retried jobs carry
-// attempts > 1, and the recovered results are bit-identical to the
-// fault-free baseline (injected faults are cleared on retry attempts, and
-// any spooled checkpoint predates the fault, so the recovered trajectory
-// is the clean one).
-func TestRetrySoakUnderChaos(t *testing.T) {
-	if testing.Short() {
-		t.Skip("retry soak is long; the dedicated CI step runs it without -short")
-	}
-	healthy := JobSpec{Generator: "synthetic", N: [3]int{16, 16, 16}, Tasks: 4,
-		TimeSteps: 2, MaxNewtonIters: 2, GradTol: 1e-12}
-	baseline := serialBaseline(t, healthy)
+// TestReplayedChaosJobReproducesFault: journal replay re-runs a job's
+// spec exactly as it was accepted, fault plan included. A chaos job
+// snapshotted at the crash point therefore re-runs on restart, hits the
+// same injected fault, and ends failed with error_kind "comm" on its
+// second attempt.
+func TestReplayedChaosJobReproducesFault(t *testing.T) {
+	spec := JobSpec{Generator: "synthetic", N: [3]int{16, 16, 16}, Tasks: 4,
+		TimeSteps: 2, MaxNewtonIters: 2, GradTol: 1e-12,
+		Chaos: "seed=12;site=0:fft-comm:send:1:truncate"}
 
-	// The same deterministic sites the no-retry chaos soak uses.
-	chaosSites := []string{
-		"seed=11;site=1:fft-comm:send:2:bitflip",
-		"seed=12;site=0:fft-comm:send:1:truncate",
-		"seed=14;site=3:fft-comm:send:0:bitflip",
-		"seed=13;site=2:interp-comm:send:1:drop",
-	}
-	srv := mustOpen(t, Config{
-		Workers: 3, QueueDepth: 64, JournalDir: t.TempDir(),
-		Retry: RetryPolicy{MaxAttempts: 3, Backoff: 10 * time.Millisecond},
-	})
+	srv := mustOpen(t, Config{Workers: 1, JournalDir: journalAtCrashPoint(t, spec)})
 	defer srv.Close()
-
-	var chaosJobs, healthyJobs []*Job
-	for _, site := range chaosSites {
-		spec := healthy
-		spec.Chaos = site
-		job, err := srv.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chaosJobs = append(chaosJobs, job)
-		good, err := srv.Submit(healthy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		healthyJobs = append(healthyJobs, good)
+	st := waitJob(t, srv, "job-000001")
+	if st.State != JobFailed || st.ErrorKind != "comm" {
+		t.Fatalf("replayed chaos job: state %s kind %q (%s), want failed/comm", st.State, st.ErrorKind, st.Error)
 	}
-
-	retried := 0
-	for _, job := range append(append([]*Job{}, chaosJobs...), healthyJobs...) {
-		select {
-		case <-job.Done():
-		case <-time.After(4 * time.Minute):
-			t.Fatalf("job %s hung — retry containment broken", job.ID)
-		}
-		st := job.Status()
-		if st.State != JobDone {
-			t.Fatalf("job %s not recovered: %s (%s, kind %s)", job.ID, st.State, st.Error, st.ErrorKind)
-		}
-		if st.Attempts > 1 {
-			retried++
-		}
-		if got := st.Result.MisfitFinal; math.Float64bits(got) != math.Float64bits(baseline.MisfitFinal) {
-			t.Fatalf("job %s (attempts %d) diverged from fault-free baseline: %.17g != %.17g",
-				job.ID, st.Attempts, got, baseline.MisfitFinal)
-		}
-	}
-	if retried == 0 {
-		t.Fatal("no job needed a retry — injection sites never fired")
-	}
-	stats := srv.Stats()
-	if stats.Failed != 0 {
-		t.Fatalf("retryable failures leaked to terminal: %d failed", stats.Failed)
-	}
-	if stats.Retries.Scheduled < int64(retried) || stats.Retries.Recovered < int64(retried) {
-		t.Fatalf("retry accounting drifted: %+v, observed %d retried", stats.Retries, retried)
-	}
-	if stats.Retries.Pending != 0 {
-		t.Fatalf("backoff timers leaked: %d pending", stats.Retries.Pending)
+	if st.Attempts != 2 {
+		t.Fatalf("replayed chaos job attempts = %d, want 2 (1 pre-crash + 1 now)", st.Attempts)
 	}
 }
 
@@ -535,10 +466,7 @@ func TestCheckpointCarryingRecovery(t *testing.T) {
 		t.Fatal("seed run left no spool checkpoint")
 	}
 
-	srv := mustOpen(t, Config{
-		Workers: 1, JournalDir: t.TempDir(), SpoolDir: spool,
-		Retry: RetryPolicy{MaxAttempts: 2, Backoff: 10 * time.Millisecond},
-	})
+	srv := mustOpen(t, Config{Workers: 1, JournalDir: t.TempDir(), SpoolDir: spool})
 	defer srv.Close()
 	job, err := srv.Submit(spec)
 	if err != nil {
@@ -551,7 +479,7 @@ func TestCheckpointCarryingRecovery(t *testing.T) {
 	if st.State != JobDone {
 		t.Fatalf("resumed job: %s (%s)", st.State, st.Error)
 	}
-	if got := srv.Stats().Retries.Resumed; got != 1 {
+	if got := srv.Stats().Journal.Resumed; got != 1 {
 		t.Fatalf("resumed counter = %d, want 1", got)
 	}
 	if math.Float64bits(st.Result.MisfitFinal) != math.Float64bits(baseline.MisfitFinal) ||
@@ -581,60 +509,6 @@ func TestCheckpointCarryingRecovery(t *testing.T) {
 	}
 	if math.Float64bits(st2.Result.MisfitFinal) != math.Float64bits(baseline.MisfitFinal) {
 		t.Fatalf("corrupt-spool run diverged: %.17g != %.17g", st2.Result.MisfitFinal, baseline.MisfitFinal)
-	}
-}
-
-// TestRetryBudgetAndGating pins the supervisor's decision table: only comm
-// errors retry, cancels win races, and the attempt budget is enforced
-// (with the exhaustion counter).
-func TestRetryBudgetAndGating(t *testing.T) {
-	srv := mustOpen(t, Config{Workers: 1,
-		Retry: RetryPolicy{MaxAttempts: 2, Backoff: time.Hour}})
-	defer srv.Close()
-
-	job := newJob("job-test-1", quickSpec())
-	job.setRunning()
-	if srv.maybeRetry(job, "x", "solver") {
-		t.Fatal("solver error retried")
-	}
-	if srv.maybeRetry(job, "x", "timeout") {
-		t.Fatal("timeout retried")
-	}
-	canceled := newJob("job-test-2", quickSpec())
-	canceled.setRunning()
-	canceled.canceled.Store(true)
-	if srv.maybeRetry(canceled, "x", "comm") {
-		t.Fatal("canceled job retried")
-	}
-
-	if !srv.maybeRetry(job, "transient", "comm") {
-		t.Fatal("comm error not retried with budget left")
-	}
-	st := job.Status()
-	if st.State != JobQueued || st.NextRetry == nil {
-		t.Fatalf("retry-scheduled job: state %s, next_retry %v", st.State, st.NextRetry)
-	}
-	if got := srv.Stats().Retries.Pending; got != 1 {
-		t.Fatalf("pending = %d, want 1", got)
-	}
-	job.setRunning() // attempt 2 — the last of the budget
-	if srv.maybeRetry(job, "transient", "comm") {
-		t.Fatal("budget exceeded but retry scheduled")
-	}
-	if got := srv.Stats().Retries.Exhausted; got != 1 {
-		t.Fatalf("exhausted = %d, want 1", got)
-	}
-	if d := srv.cfg.Retry.delay(2); d != time.Hour {
-		t.Fatalf("delay(2) = %v, want base backoff", d)
-	}
-	p := RetryPolicy{MaxAttempts: 5, Backoff: 100 * time.Millisecond, MaxBackoff: 300 * time.Millisecond}
-	for attempt, want := range map[int]time.Duration{
-		2: 100 * time.Millisecond, 3: 200 * time.Millisecond,
-		4: 300 * time.Millisecond, 5: 300 * time.Millisecond,
-	} {
-		if d := p.withDefaults().delay(attempt); d != want {
-			t.Fatalf("delay(%d) = %v, want %v", attempt, d, want)
-		}
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package serve is the registration-as-a-service layer: an HTTP/JSON job
 // server that runs many concurrent registrations through diffreg.Register
 // on a bounded worker pool, with admission control, per-job cooperative
-// timeouts, streamed progress events, a write-ahead job journal, and
-// error-kind-aware retries. Each job builds its own operator set, exactly
-// as a library solve does.
+// timeouts, streamed progress events, a write-ahead job journal, and an
+// opt-in checkpoint spool. Each job builds its own operator set, exactly
+// as a library solve does. A failed solve is terminal; a job re-runs only
+// when journal replay finds it unfinished after a restart.
 package serve
 
 import (
@@ -11,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -44,16 +44,12 @@ type Config struct {
 	// them.
 	JournalDir string
 	// SpoolDir enables checkpoint spooling: checkpoint-compatible jobs
-	// run with a CheckpointPath inside this directory, so a retry (or a
-	// journal replay after a crash) resumes from the last flushed
-	// checkpoint bit-identically instead of from scratch. Spool files are
-	// reaped when their job reaches a terminal state. Empty disables
-	// spooling; Open defaults it to JournalDir/spool when journaling is
-	// on and retries are enabled.
+	// run with a CheckpointPath inside this directory, checkpointed every
+	// outer iteration, so a journal replay after a crash resumes from the
+	// last flushed checkpoint bit-identically instead of from scratch.
+	// Spool files are reaped when their job reaches a terminal state.
+	// Empty disables spooling.
 	SpoolDir string
-	// Retry is the error-kind-aware attempt budget (see RetryPolicy).
-	// The zero value disables retries.
-	Retry RetryPolicy
 	// Retain caps the terminal jobs kept queryable: once exceeded, the
 	// oldest terminal jobs (and their event buffers and idempotency keys)
 	// are evicted so memory stops growing under sustained traffic.
@@ -95,7 +91,6 @@ type ServerStats struct {
 	Deduped    int64        `json:"deduped"`
 	Retained   int          `json:"retained"`
 	Evicted    int64        `json:"evicted"`
-	Retries    RetryStats   `json:"retries"`
 	Journal    JournalStats `json:"journal"`
 }
 
@@ -118,8 +113,6 @@ type Server struct {
 	retained []string          // terminal jobs, oldest first (retention ring)
 	stale    int               // evicted IDs still present in order
 
-	retryTimers map[string]*time.Timer // pending backoffs by job ID
-
 	journalReplayed  int // intact records read at startup
 	journalRecovered int // non-terminal jobs re-queued at startup
 
@@ -131,11 +124,7 @@ type Server struct {
 	rejected atomic.Int64
 	deduped  atomic.Int64
 	evicted  atomic.Int64
-
-	retryScheduled atomic.Int64
-	retryResumed   atomic.Int64
-	retryRecovered atomic.Int64
-	retryExhausted atomic.Int64
+	resumed  atomic.Int64 // attempts resumed from a spool checkpoint
 
 	genMu sync.Mutex
 	gen   map[genKey]genPair
@@ -234,10 +223,6 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
 	}
-	cfg.Retry = cfg.Retry.withDefaults()
-	if cfg.SpoolDir == "" && cfg.JournalDir != "" && cfg.Retry.enabled() {
-		cfg.SpoolDir = filepath.Join(cfg.JournalDir, "spool")
-	}
 	if cfg.SpoolDir != "" {
 		if err := ckpt.EnsureSpoolDir(cfg.SpoolDir); err != nil {
 			return nil, fmt.Errorf("serve: spool dir: %w", err)
@@ -259,7 +244,6 @@ func Open(cfg Config) (*Server, error) {
 		closing:         make(chan struct{}),
 		jobs:            map[string]*Job{},
 		idem:            map[string]string{},
-		retryTimers:     map[string]*time.Timer{},
 		journalReplayed: records,
 	}
 	nonTerminal := 0
@@ -342,7 +326,7 @@ func (s *Server) submit(spec JobSpec) (*Job, bool, error) {
 		}
 	}
 	// Admission control gates on QueueDepth, not channel capacity: the
-	// channel carries extra replay/retry slots that fresh traffic must not
+	// channel carries extra replay slots that fresh traffic must not
 	// consume. Under s.mu the queue can only drain, so once this check
 	// passes the send below cannot block.
 	if len(s.queue) >= s.cfg.QueueDepth {
@@ -367,6 +351,15 @@ func (s *Server) submit(spec JobSpec) (*Job, bool, error) {
 	s.mu.Unlock()
 	s.logf("accepted %s: %v tasks=%d", job.ID, spec.N, spec.Tasks)
 	return job, false, nil
+}
+
+// spoolPath returns the job's spool checkpoint file ("" when spooling is
+// off or the solve flavor cannot checkpoint).
+func (s *Server) spoolPath(job *Job) string {
+	if s.cfg.SpoolDir == "" || !job.Spec.config().Checkpointable() {
+		return ""
+	}
+	return ckpt.SpoolPath(s.cfg.SpoolDir, job.ID)
 }
 
 // retainCap resolves Config.Retain (-1 = unlimited).
@@ -454,18 +447,10 @@ func (s *Server) Stats() ServerStats {
 		Canceled: s.canceled.Load(), Rejected: s.rejected.Load(),
 		Deduped: s.deduped.Load(), Evicted: s.evicted.Load(),
 	}
-	st.Retries = RetryStats{
-		Enabled:     s.cfg.Retry.enabled(),
-		MaxAttempts: s.cfg.Retry.MaxAttempts,
-		Scheduled:   s.retryScheduled.Load(),
-		Resumed:     s.retryResumed.Load(),
-		Recovered:   s.retryRecovered.Load(),
-		Exhausted:   s.retryExhausted.Load(),
-	}
 	st.Journal = s.journal.stats()
+	st.Journal.Resumed = s.resumed.Load()
 	s.mu.Lock()
 	st.Retained = len(s.retained)
-	st.Retries.Pending = len(s.retryTimers)
 	st.Journal.Replayed = s.journalReplayed
 	st.Journal.Recovered = s.journalRecovered
 	s.mu.Unlock()
@@ -484,7 +469,6 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	close(s.closing) // wakes idle event-stream watchers so Shutdown drains fast
-	s.stopRetryTimersLocked()
 	jobs := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		jobs = append(jobs, j)
@@ -539,19 +523,12 @@ func (s *Server) runJob(job *Job) {
 	cfg := job.Spec.config()
 	cfg.StopRequested = job.stop.Load
 	cfg.OnProgress = job.progress
-	if attempt > 1 {
-		// Injected faults model a transient environment failure bound to
-		// the attempt that hit it; the spec's deterministic fault plan
-		// would refire on every retry and exhaust the budget by
-		// construction.
-		cfg.ChaosSpec = ""
-	}
 	if sp := s.spoolPath(job); sp != "" {
 		cfg.CheckpointPath = sp
-		cfg.CheckpointEvery = s.cfg.Retry.CheckpointEvery
+		cfg.CheckpointEvery = 1 // a crash never loses more than the current iteration
 		if ckpt.HasCheckpoint(sp) {
 			cfg.Resume = true
-			s.retryResumed.Add(1)
+			s.resumed.Add(1)
 			s.logf("%s attempt %d resuming from spool checkpoint", job.ID, attempt)
 		}
 	}
@@ -586,9 +563,6 @@ func (s *Server) runJob(job *Job) {
 		if errors.As(err, &ce) {
 			kind = "comm"
 		}
-		if s.maybeRetry(job, err.Error(), kind) {
-			return
-		}
 		s.failed.Add(1)
 		job.finish(JobFailed, nil, err.Error(), kind, nil)
 		s.logf("%s failed (%s): %v", job.ID, kind, err)
@@ -619,9 +593,6 @@ func (s *Server) finishSolved(job *Job, res *diffreg.Result, wall float64) {
 		job.finish(JobCanceled, buildResult(res, wall, &job.Spec), "server shutdown", "shutdown", res.Degradations)
 	default:
 		s.done.Add(1)
-		if job.Attempts() > 1 {
-			s.retryRecovered.Add(1)
-		}
 		job.finish(JobDone, buildResult(res, wall, &job.Spec), "", "", res.Degradations)
 		s.logf("%s done: misfit %.3e -> %.3e in %.2fs", job.ID, res.MisfitInit, res.MisfitFinal, wall)
 	}
