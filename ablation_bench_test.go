@@ -19,6 +19,7 @@ import (
 	"diffreg/internal/optim"
 	"diffreg/internal/paperbench"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 	"diffreg/internal/regopt"
 	"diffreg/internal/semilag"
 	"diffreg/internal/spectral"
@@ -111,7 +112,7 @@ func BenchmarkAblationPreconditioner(b *testing.B) {
 				if err != nil {
 					return err
 				}
-				ops := spectral.New(pfft.NewPlan(pe))
+				ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 				rhoT := imaging.SyntheticTemplate(pe)
 				rhoR := imaging.MakeReference(ops, rhoT, imaging.SyntheticVelocity(pe), 4, false)
 				pr, err := regopt.New(ops, rhoT, rhoR, regopt.DefaultOptions())
@@ -202,7 +203,7 @@ func BenchmarkDistributedFFT(b *testing.B) {
 				if err != nil {
 					return err
 				}
-				plan := pfft.NewPlan(pe)
+				plan := pfft.NewPlanPrec(pe, prec.F64)
 				local := make([]float64, pe.LocalTotal())
 				if c.Rank() == 0 {
 					b.ResetTimer()
@@ -263,7 +264,7 @@ func BenchmarkAblationMultilevel(b *testing.B) {
 				if err != nil {
 					return err
 				}
-				ops := spectral.New(pfft.NewPlan(pe))
+				ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 				rhoT := imaging.SyntheticTemplate(pe)
 				rhoR := imaging.MakeReference(ops, rhoT, imaging.SyntheticVelocity(pe), 4, false)
 				cfg := core.DefaultConfig()

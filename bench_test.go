@@ -19,6 +19,7 @@ import (
 	"diffreg/internal/par"
 	"diffreg/internal/perfmodel"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 	"diffreg/internal/semilag"
 	"diffreg/internal/spectral"
 )
@@ -277,7 +278,7 @@ func BenchmarkPoolSpectral(b *testing.B) {
 			if err != nil {
 				return err
 			}
-			ops := spectral.New(pfft.NewPlan(pe))
+			ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 			v := field.NewVector(pe)
 			rng := rand.New(rand.NewSource(21))
 			for d := 0; d < 3; d++ {
@@ -315,7 +316,7 @@ func BenchmarkPoolInterp(b *testing.B) {
 					pts[d][q] = rng.Float64() * 64
 				}
 			}
-			plan := semilag.NewPlan(pe, pts)
+			plan := semilag.NewPlanPrec(pe, pts, prec.F64)
 			f := make([]float64, nq)
 			for i := range f {
 				f[i] = rng.NormFloat64()
@@ -341,7 +342,7 @@ func BenchmarkPoolFFT(b *testing.B) {
 			if err != nil {
 				return err
 			}
-			plan := pfft.NewPlan(pe)
+			plan := pfft.NewPlanPrec(pe, prec.F64)
 			rng := rand.New(rand.NewSource(23))
 			s := make([]float64, pe.LocalTotal())
 			for i := range s {

@@ -7,6 +7,7 @@ import (
 	"diffreg/internal/grid"
 	"diffreg/internal/mpi"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 	"diffreg/internal/spectral"
 	"diffreg/internal/transport"
 )
@@ -49,7 +50,7 @@ func ApplyDeformation(img Volume, displacement [3]Volume, tasks int) (Volume, er
 		for d := 0; d < 3; d++ {
 			u.C[d].Scatter(data[d+1])
 		}
-		ts := transport.NewSolver(spectral.New(pfft.NewPlan(pe)), 1)
+		ts := transport.NewSolver(spectral.New(pfft.NewPlanPrec(pe, prec.F64)), 1)
 		warped := ts.ApplyMap(src, u)
 		global := warped.Gather()
 		if c.Rank() == 0 {
@@ -92,7 +93,7 @@ func InverseDisplacement(velocity [3]Volume, timeSteps, tasks int, incompressibl
 			}
 			v.C[d].Scatter(data)
 		}
-		ts := transport.NewSolver(spectral.New(pfft.NewPlan(pe)), timeSteps)
+		ts := transport.NewSolver(spectral.New(pfft.NewPlanPrec(pe, prec.F64)), timeSteps)
 		ctx := ts.NewContext(v, incompressible)
 		uInv := ts.InverseDisplacement(ctx)
 		for d := 0; d < 3; d++ {

@@ -554,7 +554,7 @@ func SyntheticProblem(n1, n2, n3, nt int, incompressible bool) (template, refere
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		rhoT := imaging.SyntheticTemplate(pe)
 		var v *field.Vector
 		if incompressible {
@@ -588,7 +588,7 @@ func BrainPhantomPair(n1, n2, n3 int, seedA, seedB int64) (a, b Volume, err erro
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		sa := imaging.BrainPhantom(pe, seedA)
 		sb := imaging.BrainPhantom(pe, seedB)
 		imaging.PrepareImages(ops, sa, sb)

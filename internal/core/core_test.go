@@ -10,6 +10,7 @@ import (
 	"diffreg/internal/imaging"
 	"diffreg/internal/mpi"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 	"diffreg/internal/regopt"
 	"diffreg/internal/spectral"
 )
@@ -24,7 +25,7 @@ func runSynthetic(t *testing.T, n, p int, cfg Config, fn func(pe *grid.Pencil, o
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		rhoT := imaging.SyntheticTemplate(pe)
 		var vStar *field.Vector
 		if cfg.Opt.Incompressible {
@@ -156,7 +157,7 @@ func TestRegisterBrainPhantom(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		rhoT := imaging.BrainPhantom(pe, 1)
 		rhoR := imaging.BrainPhantom(pe, 2)
 		imaging.PrepareImages(ops, rhoT, rhoR)
@@ -251,7 +252,7 @@ func TestRegisterMultilevel(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			ops := spectral.New(pfft.NewPlan(pe))
+			ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 			rhoT := imaging.SyntheticTemplate(pe)
 			rhoR := imaging.MakeReference(ops, rhoT, imaging.SyntheticVelocity(pe), 4, false)
 			cfg := DefaultConfig()
@@ -362,7 +363,7 @@ func TestRegisterResumeHonorsCheckpointBeta(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		rhoT := imaging.SyntheticTemplate(pe)
 		vStar := imaging.SyntheticVelocity(pe)
 		rhoR := imaging.MakeReference(ops, rhoT, vStar, 4, false)

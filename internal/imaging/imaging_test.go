@@ -10,6 +10,7 @@ import (
 	"diffreg/internal/grid"
 	"diffreg/internal/mpi"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 	"diffreg/internal/spectral"
 	"diffreg/internal/transport"
 )
@@ -45,7 +46,7 @@ func TestSyntheticTemplateRange(t *testing.T) {
 func TestSolenoidalVelocityIsDivergenceFree(t *testing.T) {
 	g := grid.MustNew(16, 16, 16)
 	withPencil(t, g, 1, func(pe *grid.Pencil) error {
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		v := SolenoidalVelocity(pe)
 		if m := ops.Div(v).MaxAbs(); m > 1e-10 {
 			t.Errorf("div = %g", m)
@@ -57,7 +58,7 @@ func TestSolenoidalVelocityIsDivergenceFree(t *testing.T) {
 func TestMakeReferenceDiffersFromTemplate(t *testing.T) {
 	g := grid.MustNew(16, 16, 16)
 	withPencil(t, g, 1, func(pe *grid.Pencil) error {
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		rhoT := SyntheticTemplate(pe)
 		rhoR := MakeReference(ops, rhoT, SyntheticVelocity(pe), 4, false)
 		diff := rhoR.Clone()
@@ -296,7 +297,7 @@ func TestRegistrationImprovesDice(t *testing.T) {
 	g := grid.MustNew(16, 16, 16)
 	_, err := mpi.Run(1, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
 		pe, _ := grid.NewPencil(g, c)
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		rhoT := SyntheticTemplate(pe)
 		rhoR := MakeReference(ops, rhoT, SyntheticVelocity(pe), 4, false)
 		ts := transport.NewSolver(ops, 4)

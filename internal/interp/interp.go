@@ -34,10 +34,6 @@ func WeightsOf[T Float](t T) [4]T {
 // Weights is WeightsOf at the float64 reference precision.
 func Weights(t float64) [4]float64 { return WeightsOf(t) }
 
-// Weights32 is WeightsOf in float32 arithmetic, for the narrow-precision
-// gather.
-func Weights32(t float32) [4]float32 { return WeightsOf(t) }
-
 // LinearWeights returns the two linear weights for stencil offsets {0, 1};
 // kept as the baseline scheme for the cubic-vs-linear ablation.
 func LinearWeights(t float64) [2]float64 { return [2]float64{1 - t, t} }

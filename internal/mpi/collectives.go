@@ -174,101 +174,39 @@ func (c *Comm) Allgather(data []float64) []float64 {
 	return res.([]float64)
 }
 
-// AlltoallvFloat64 performs a personalized all-to-all exchange: send[i] goes
-// to rank i, and the returned slice recv[i] is what rank i sent to us.
-// Self-exchange is a local copy and is not charged communication cost.
-func (c *Comm) AlltoallvFloat64(send [][]float64) [][]float64 {
+// Elem is an element type of the slice payloads the message layer carries:
+// the types whose payloads it sizes, copies and corrupts under a fault plan.
+type Elem interface {
+	float64 | float32 | complex128 | int | byte
+}
+
+// Alltoallv performs a personalized all-to-all exchange on c: send[i] goes
+// to rank i, and the returned slice recv[i] is what rank i sent to us. The
+// element type is the wire format — float64 and complex128 for the
+// reference transposes and exchanges, float32 for the narrow wire, int
+// for plan metadata. Self-exchange is a local copy and is not charged
+// communication cost. It is a package function because Go methods take no
+// type parameters.
+func Alltoallv[T Elem](c *Comm, send [][]T) [][]T {
 	c.stats.Alltoalls++
 	c.collectiveSite()
 	p := c.Size()
 	if len(send) != p {
 		panic("mpi: alltoallv send length != communicator size")
 	}
-	recv := make([][]float64, p)
+	recv := make([][]T, p)
 	// Post all sends first (non-blocking), then receive in a rotated order
 	// to avoid hot-spotting rank 0.
 	for dist := 1; dist < p; dist++ {
 		dest := (c.rank + dist) % p
 		c.Send(dest, tagAlltoall, send[dest])
 	}
-	self := make([]float64, len(send[c.rank]))
+	self := make([]T, len(send[c.rank]))
 	copy(self, send[c.rank])
 	recv[c.rank] = self
 	for dist := 1; dist < p; dist++ {
 		src := (c.rank - dist + p) % p
-		recv[src] = c.Recv(src, tagAlltoall).([]float64)
-	}
-	return recv
-}
-
-// AlltoallvFloat32 is AlltoallvFloat64 for float32 payloads; it is the
-// narrow wire format of the mixed-precision transposes and interpolation
-// exchanges, halving bytes on the wire.
-func (c *Comm) AlltoallvFloat32(send [][]float32) [][]float32 {
-	c.stats.Alltoalls++
-	c.collectiveSite()
-	p := c.Size()
-	if len(send) != p {
-		panic("mpi: alltoallv send length != communicator size")
-	}
-	recv := make([][]float32, p)
-	for dist := 1; dist < p; dist++ {
-		dest := (c.rank + dist) % p
-		c.Send(dest, tagAlltoall, send[dest])
-	}
-	self := make([]float32, len(send[c.rank]))
-	copy(self, send[c.rank])
-	recv[c.rank] = self
-	for dist := 1; dist < p; dist++ {
-		src := (c.rank - dist + p) % p
-		recv[src] = c.Recv(src, tagAlltoall).([]float32)
-	}
-	return recv
-}
-
-// AlltoallvComplex is AlltoallvFloat64 for complex128 payloads; it is the
-// transpose primitive of the distributed FFT.
-func (c *Comm) AlltoallvComplex(send [][]complex128) [][]complex128 {
-	c.stats.Alltoalls++
-	c.collectiveSite()
-	p := c.Size()
-	if len(send) != p {
-		panic("mpi: alltoallv send length != communicator size")
-	}
-	recv := make([][]complex128, p)
-	for dist := 1; dist < p; dist++ {
-		dest := (c.rank + dist) % p
-		c.Send(dest, tagAlltoall, send[dest])
-	}
-	self := make([]complex128, len(send[c.rank]))
-	copy(self, send[c.rank])
-	recv[c.rank] = self
-	for dist := 1; dist < p; dist++ {
-		src := (c.rank - dist + p) % p
-		recv[src] = c.Recv(src, tagAlltoall).([]complex128)
-	}
-	return recv
-}
-
-// AlltoallvInt exchanges int slices; used for communication-plan metadata.
-func (c *Comm) AlltoallvInt(send [][]int) [][]int {
-	c.stats.Alltoalls++
-	c.collectiveSite()
-	p := c.Size()
-	if len(send) != p {
-		panic("mpi: alltoallv send length != communicator size")
-	}
-	recv := make([][]int, p)
-	for dist := 1; dist < p; dist++ {
-		dest := (c.rank + dist) % p
-		c.Send(dest, tagAlltoall, send[dest])
-	}
-	self := make([]int, len(send[c.rank]))
-	copy(self, send[c.rank])
-	recv[c.rank] = self
-	for dist := 1; dist < p; dist++ {
-		src := (c.rank - dist + p) % p
-		recv[src] = c.Recv(src, tagAlltoall).([]int)
+		recv[src] = c.Recv(src, tagAlltoall).([]T)
 	}
 	return recv
 }

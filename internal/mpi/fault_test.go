@@ -46,7 +46,7 @@ func exchange(c *Comm, phase Phase, round int) error {
 	for d := range send {
 		send[d] = []float64{float64(c.Rank()), float64(d), float64(round)}
 	}
-	recv := c.AlltoallvFloat64(send)
+	recv := Alltoallv(c, send)
 	for src, got := range recv {
 		if len(got) != 3 || got[0] != float64(src) || got[1] != float64(c.Rank()) || got[2] != float64(round) {
 			return fmt.Errorf("alltoallv round %d from %d: got %v", round, src, got)
@@ -204,7 +204,7 @@ func TestFaultPlanSizeOneComm(t *testing.T) {
 		old := c.SetPhase(PhaseFFTComm)
 		defer c.SetPhase(old)
 		for round := 0; round < 8; round++ {
-			recv := c.AlltoallvFloat64([][]float64{{1, 2, float64(round)}})
+			recv := Alltoallv(c, [][]float64{{1, 2, float64(round)}})
 			if len(recv) != 1 || recv[0][2] != float64(round) {
 				return fmt.Errorf("round %d: got %v", round, recv)
 			}
@@ -232,14 +232,14 @@ func TestZeroCountAlltoallv(t *testing.T) {
 			for d := range send {
 				send[d] = []float64{}
 			}
-			recv := c.AlltoallvFloat64(send)
+			recv := Alltoallv(c, send)
 			for src, got := range recv {
 				if len(got) != 0 {
 					return fmt.Errorf("from %d: got %v, want empty", src, got)
 				}
 			}
 			sendC := make([][]complex128, c.Size())
-			recvC := c.AlltoallvComplex(sendC)
+			recvC := Alltoallv(c, sendC)
 			for src, got := range recvC {
 				if len(got) != 0 {
 					return fmt.Errorf("complex from %d: got %v, want empty", src, got)

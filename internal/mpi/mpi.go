@@ -10,6 +10,11 @@
 // additionally charged against a latency/bandwidth cost model so that the
 // communication columns of the paper's tables can be regenerated from the
 // exact message counts and volumes the algorithms produce.
+//
+// Payloads are slices of the element types in Elem. The one variable-count
+// all-to-all, Alltoallv, is generic over them: float64 and complex128 are
+// the reference wire, float32 the narrow wire of the mixed-precision path,
+// int the plan metadata.
 package mpi
 
 import (

@@ -147,33 +147,63 @@ func TestAllgather(t *testing.T) {
 	}
 }
 
+// alltoallvPart is the element count rank src sends to rank dest in
+// TestAlltoallv: some parts, a rank's own among them, are empty.
+func alltoallvPart(src, dest int) int { return (src + 2*dest + 1) % 4 }
+
+// checkAlltoallv runs one Alltoallv in which rank src sends dest the
+// values val(src, dest, i), with empty parts left nil, and checks what
+// arrives. It then overwrites the send buffer: the self part is a copy,
+// so the received self part must not change.
+func checkAlltoallv[T Elem](c *Comm, val func(src, dest, i int) T) error {
+	me := c.Rank()
+	send := make([][]T, c.Size())
+	for dest := range send {
+		for i := 0; i < alltoallvPart(me, dest); i++ {
+			send[dest] = append(send[dest], val(me, dest, i))
+		}
+	}
+	recv := Alltoallv(c, send)
+	for i := range send[me] {
+		send[me][i] = val(-1, -1, -1)
+	}
+	for src, got := range recv {
+		if len(got) != alltoallvPart(src, me) {
+			return fmt.Errorf("from %d: %d elements, want %d", src, len(got), alltoallvPart(src, me))
+		}
+		for i, v := range got {
+			if v != val(src, me, i) {
+				return fmt.Errorf("from %d: element %d is %v, want %v", src, i, v, val(src, me, i))
+			}
+		}
+	}
+	return nil
+}
+
 func TestAlltoallv(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 6} {
-		p := p
-		run(t, p, func(c *Comm) error {
-			send := make([][]float64, p)
-			for dest := 0; dest < p; dest++ {
-				// rank r sends [r, dest] with length r+dest+1 to dest.
-				s := make([]float64, c.Rank()+dest+1)
-				for i := range s {
-					s[i] = float64(100*c.Rank() + dest)
-				}
-				send[dest] = s
-			}
-			recv := c.AlltoallvFloat64(send)
-			for src := 0; src < p; src++ {
-				wantLen := src + c.Rank() + 1
-				if len(recv[src]) != wantLen {
-					return fmt.Errorf("from %d: len %d want %d", src, len(recv[src]), wantLen)
-				}
-				for _, v := range recv[src] {
-					if int(v) != 100*src+c.Rank() {
-						return fmt.Errorf("from %d: bad value %v", src, v)
-					}
-				}
-			}
-			return nil
-		})
+	types := []struct {
+		name  string
+		check func(c *Comm) error
+	}{
+		{"float64", func(c *Comm) error {
+			return checkAlltoallv(c, func(s, d, i int) float64 { return float64(100*s+10*d+i) + 0.5 })
+		}},
+		{"float32", func(c *Comm) error {
+			return checkAlltoallv(c, func(s, d, i int) float32 { return float32(100*s+10*d+i) + 0.25 })
+		}},
+		{"complex128", func(c *Comm) error {
+			return checkAlltoallv(c, func(s, d, i int) complex128 { return complex(float64(s), float64(10*d+i)) })
+		}},
+		{"int", func(c *Comm) error {
+			return checkAlltoallv(c, func(s, d, i int) int { return 100*s + 10*d + i })
+		}},
+	}
+	for _, typ := range types {
+		for _, p := range []int{1, 2, 3, 4, 6} {
+			t.Run(fmt.Sprintf("%s/p%d", typ.name, p), func(t *testing.T) {
+				run(t, p, typ.check)
+			})
+		}
 	}
 }
 
@@ -184,7 +214,7 @@ func TestAlltoallvComplex(t *testing.T) {
 		for dest := 0; dest < p; dest++ {
 			send[dest] = []complex128{complex(float64(c.Rank()), float64(dest))}
 		}
-		recv := c.AlltoallvComplex(send)
+		recv := Alltoallv(c, send)
 		for src := 0; src < p; src++ {
 			want := complex(float64(src), float64(c.Rank()))
 			if recv[src][0] != want {
@@ -336,7 +366,7 @@ func TestAlltoallvEmptyPayloads(t *testing.T) {
 		if c.Rank() == 0 {
 			send[3] = []float64{42}
 		}
-		recv := c.AlltoallvFloat64(send)
+		recv := Alltoallv(c, send)
 		if c.Rank() == 3 {
 			if len(recv[0]) != 1 || recv[0][0] != 42 {
 				return fmt.Errorf("rank 3: got %v", recv[0])

@@ -36,7 +36,7 @@ func TestRaceConcurrentWorlds(t *testing.T) {
 					for d := range send {
 						send[d] = []float64{float64(c.Rank()), float64(d), float64(r)}
 					}
-					recv := c.AlltoallvFloat64(send)
+					recv := Alltoallv(c, send)
 					for src, got := range recv {
 						if got[0] != float64(src) || got[1] != float64(c.Rank()) || got[2] != float64(r) {
 							return fmt.Errorf("world %d round %d: alltoallv from %d got %v", w, r, src, got)
@@ -73,7 +73,7 @@ func TestRaceSplitCollectives(t *testing.T) {
 			for d := range send {
 				send[d] = []complex128{complex(float64(c.Rank()), float64(r))}
 			}
-			recv := row.AlltoallvComplex(send)
+			recv := Alltoallv(row, send)
 			for _, got := range recv {
 				if imag(got[0]) != float64(r) {
 					return fmt.Errorf("round %d: stale row payload %v", r, got)

@@ -9,6 +9,7 @@ import (
 	"diffreg/internal/mpi"
 	"diffreg/internal/optim"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 	"diffreg/internal/regopt"
 	"diffreg/internal/spectral"
 )
@@ -23,7 +24,7 @@ func TestPCGSolvesDiagonalSystem(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		beta := 0.1
 		apply := func(v *field.Vector) *field.Vector {
 			out := ops.Biharm(v)
@@ -92,7 +93,7 @@ func TestPCGZeroRHS(t *testing.T) {
 // buildProblem creates the synthetic benchmark problem of §IV-A1 at the
 // given size.
 func buildProblem(pe *grid.Pencil, opt regopt.Options) (*regopt.Problem, error) {
-	ops := spectral.New(pfft.NewPlan(pe))
+	ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 	rhoT := field.NewScalar(pe)
 	rhoT.SetFunc(func(x1, x2, x3 float64) float64 {
 		s1, s2, s3 := math.Sin(x1), math.Sin(x2), math.Sin(x3)

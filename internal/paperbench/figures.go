@@ -12,6 +12,7 @@ import (
 	"diffreg/internal/imaging"
 	"diffreg/internal/mpi"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 	"diffreg/internal/semilag"
 	"diffreg/internal/spectral"
 	"diffreg/internal/transport"
@@ -46,7 +47,7 @@ func Figure1(outDir string) (Report, error) {
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		rhoT := imaging.BrainPhantom(pe, 1)
 		imaging.PrepareImages(ops, rhoT)
 		// Deform, then translate by 4 cells in dimension 0.
@@ -159,7 +160,7 @@ func Figure2() (Report, error) {
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		ts := transport.NewSolver(ops, 4)
 		for _, tc := range cases {
 			u := field.NewVector(pe)
@@ -223,7 +224,7 @@ func Figure4() (Report, error) {
 		if err != nil {
 			return err
 		}
-		plan := pfft.NewPlan(pe)
+		plan := pfft.NewPlanPrec(pe, prec.F64)
 		local := make([]float64, pe.LocalTotal())
 		if _, err := plan.Forward(local); err != nil {
 			return err
@@ -255,7 +256,7 @@ func Figure5(outDir string) (Report, error) {
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		rhoT := imaging.SyntheticTemplate(pe)
 		rhoR := imaging.MakeReference(ops, rhoT, imaging.SyntheticVelocity(pe), 4, false)
 		resid := rhoT.Clone()
@@ -294,7 +295,7 @@ func Figure67(outDir string, quick bool) (Report, error) {
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		rhoT := imaging.BrainPhantom(pe, 1)
 		rhoR := imaging.BrainPhantom(pe, 2)
 		imaging.PrepareImages(ops, rhoT, rhoR)

@@ -19,6 +19,7 @@ import (
 	"diffreg/internal/mpi"
 	"diffreg/internal/perfmodel"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 	"diffreg/internal/spectral"
 )
 
@@ -51,7 +52,7 @@ func RunMeasurement(n [3]int, p int, prob Problem, cfg core.Config) (*core.Outco
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		var rhoT, rhoR *field.Scalar
 		switch prob {
 		case SyntheticProblem:

@@ -48,9 +48,26 @@ func TestArenaHoldsOnlyUsedStageBuffers(t *testing.T) {
 				for _, buf := range append(append([][]complex128{}, ws.bufA...), ws.bufB...) {
 					fillComplex(buf)
 				}
-				fillComplex(ws.sendSlab)
-				for i := range ws.sendSlab32 {
-					ws.sendSlab32[i] = float32(poison)
+				// The send slab at the plan's wire format, and its bytes.
+				var slabWritten func() bool
+				var slabBytes int64
+				switch w := ws.wire.(type) {
+				case *wire[complex128]:
+					fillComplex(w.slab)
+					slabWritten = func() bool { return writtenComplex(w.slab) }
+					slabBytes = int64(len(w.slab)) * 16
+				case *wire[float32]:
+					for i := range w.slab {
+						w.slab[i] = float32(poison)
+					}
+					slabWritten = func() bool {
+						written := false
+						for _, v := range w.slab {
+							written = written || !math.IsNaN(float64(v))
+						}
+						return written
+					}
+					slabBytes = int64(len(w.slab)) * 4
 				}
 				roundTrip()
 
@@ -65,15 +82,8 @@ func TestArenaHoldsOnlyUsedStageBuffers(t *testing.T) {
 				for b := range ws.bufB {
 					untouched(fmt.Sprintf("bufB[%d]", b), writtenComplex(ws.bufB[b]))
 				}
-				if ws.sendSlab != nil {
-					untouched("sendSlab", writtenComplex(ws.sendSlab))
-				}
-				if ws.sendSlab32 != nil {
-					written := false
-					for _, v := range ws.sendSlab32 {
-						written = written || !math.IsNaN(float64(v))
-					}
-					untouched("sendSlab32", written)
+				if slabBytes != 0 {
+					untouched("send slab", slabWritten())
 				}
 
 				// What the stages use, in bytes.
@@ -86,7 +96,7 @@ func TestArenaHoldsOnlyUsedStageBuffers(t *testing.T) {
 				if qRow > 1 || qCol > 1 {
 					want += stage * int64(pr.WireBytesPerValue()) / 8 // send slab
 				}
-				got := int64(len(ws.sendSlab))*16 + int64(len(ws.sendSlab32))*4
+				got := slabBytes
 				for _, buf := range append(append([][]complex128{}, ws.bufA...), ws.bufB...) {
 					got += int64(len(buf)) * 16
 				}

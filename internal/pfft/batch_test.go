@@ -8,6 +8,7 @@ import (
 	"diffreg/internal/grid"
 	"diffreg/internal/mpi"
 	"diffreg/internal/par"
+	"diffreg/internal/prec"
 )
 
 // batchFields builds B deterministic local fields on the pencil.
@@ -35,7 +36,7 @@ func TestBatchBitIdentical(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			pl := NewPlan(pe)
+			pl := NewPlanPrec(pe, prec.F64)
 			srcs := batchFields(pe, 3)
 			var want [][]complex128
 			for _, s := range srcs {
@@ -83,7 +84,7 @@ func TestBatchParseval(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			pl := NewPlan(pe)
+			pl := NewPlanPrec(pe, prec.F64)
 			srcs := batchFields(pe, 3)
 			specs := mustFwdB(pl, srcs)
 			for b := range srcs {
@@ -125,7 +126,7 @@ func TestRoundTripZeroAllocs(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pl := NewPlan(pe)
+		pl := NewPlanPrec(pe, prec.F64)
 		src := batchFields(pe, 1)[0]
 		spec := make([]complex128, pl.SpecLocalTotal())
 		back := make([]float64, pe.LocalTotal())
@@ -156,7 +157,7 @@ func TestBatchedTransposeCounters(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pl := NewPlan(pe)
+		pl := NewPlanPrec(pe, prec.F64)
 		srcs := batchFields(pe, 3)
 		before := *c.Stats()
 		mustFwdB(pl, srcs)
@@ -192,7 +193,7 @@ func TestBatchedTransferSpectrum(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		plF, plC := NewPlan(peF), NewPlan(peC)
+		plF, plC := NewPlanPrec(peF, prec.F64), NewPlanPrec(peC, prec.F64)
 		specs := mustFwdB(plF, batchFields(peF, 3))
 		var want [][]complex128
 		for _, s := range specs {
@@ -231,7 +232,7 @@ func TestWorkspaceSerialParallelIdentical(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			pl := NewPlan(pe)
+			pl := NewPlanPrec(pe, prec.F64)
 			out = mustFwdB(pl, batchFields(pe, 3))
 			return nil
 		})

@@ -6,6 +6,7 @@ import (
 
 	"diffreg/internal/grid"
 	"diffreg/internal/mpi"
+	"diffreg/internal/prec"
 )
 
 // Panic-on-error wrappers for the Plan entry points: test inputs are
@@ -64,7 +65,7 @@ func TestEntryPointErrors(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			pl := NewPlan(pe)
+			pl := NewPlanPrec(pe, prec.F64)
 			good := make([]float64, pe.LocalTotal())
 			goodSpec := make([]complex128, pl.SpecLocalTotal())
 			cases := []struct {

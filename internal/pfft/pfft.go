@@ -14,6 +14,11 @@
 // fields through the pipeline together and fuse each transpose into a
 // single all-to-all with field-interleaved payloads — one latency term
 // ts*sqrt(p) amortized over all B components instead of paid B times.
+//
+// Every plan names its transpose wire format (NewPlanPrec): complex128, or
+// interleaved (re, im) float32 pairs at half the bytes. Both run one block
+// schedule, wire[W].transpose, with its per-source framing check; only the
+// row codec differs.
 package pfft
 
 import (
@@ -70,16 +75,13 @@ type Plan struct {
 // the largest batch size seen and is never shrunk, so steady-state calls
 // allocate nothing. It holds only the buffers the plan's decomposition
 // runs: bufB and its headers exist only under a split column communicator,
-// the send slabs only when some transpose runs.
+// the wire's send slab only when some transpose runs.
 type workspace struct {
 	fields     int            // batch capacity (B)
 	stageMax   int            // max local elements at any pipeline stage
 	bufA, bufB [][]complex128 // per-field stage buffers, stageMax each
 	hdrA, hdrB [][]complex128 // reusable per-field slice headers
-	send       [][]complex128 // per-target headers into sendSlab
-	sendSlab   []complex128   // fused transpose pack buffer
-	send32     [][]float32    // per-target headers into sendSlab32 (F32 wire)
-	sendSlab32 []float32      // narrow transpose pack buffer (F32 wire)
+	wire       transposer     // the transposes at the plan's wire format
 	line       []complex128   // per-chunk 1D line scratch slab
 	lineLen    int            // scratch complexes per chunk
 	chunkCap   int            // chunk slots in line
@@ -100,10 +102,6 @@ type batchState struct {
 	lines   int // lines per field in the current stage
 }
 
-// NewPlan builds a transform plan for the pencil decomposition at the
-// float64 reference precision.
-func NewPlan(pe *grid.Pencil) *Plan { return NewPlanPrec(pe, prec.F64) }
-
 // NewPlanPrec builds a transform plan whose transpose wire format runs at
 // the given precision. The local 1D transforms always execute in
 // complex128; only the packed all-to-all payloads narrow.
@@ -119,6 +117,11 @@ func NewPlanPrec(pe *grid.Pencil, p prec.Precision) *Plan {
 	pl.specLo = [3]int{0, lo2, lo3}
 	pl.dimsA = [3]int{pe.Local(0), pe.Local(1), pl.m3}
 	pl.dimsB = [3]int{pe.Local(0), n[1], pl.specDim[2]}
+	if p == prec.F32 {
+		pl.ws.wire = &wire[float32]{width: 2, put: putRow32, get: getRow32}
+	} else {
+		pl.ws.wire = &wire[complex128]{width: 1, put: copyRow, get: copyRow}
+	}
 	pl.buildKernels()
 	return pl
 }
@@ -210,8 +213,7 @@ func (pl *Plan) ensureBatch(b int) {
 	}
 	// bufA is every pipeline's first (forward) or working copy (inverse)
 	// buffer; bufB is the middle stage, which only a column transpose needs.
-	// The send slabs pack the transposes, so a plan with none has none.
-	qRow, qCol := pl.Pe.Row.Size(), pl.Pe.Col.Size()
+	qCol := pl.Pe.Col.Size()
 	for len(ws.bufA) < b {
 		ws.bufA = append(ws.bufA, make([]complex128, ws.stageMax))
 		if qCol > 1 {
@@ -221,17 +223,6 @@ func (pl *Plan) ensureBatch(b int) {
 	ws.hdrA = make([][]complex128, b)
 	if qCol > 1 {
 		ws.hdrB = make([][]complex128, b)
-	}
-	if q := max(qRow, qCol); q > 1 && pl.precision == prec.F32 {
-		if len(ws.send32) < q {
-			ws.send32 = make([][]float32, q)
-		}
-		ws.sendSlab32 = make([]float32, 2*b*ws.stageMax)
-	} else if q > 1 {
-		if len(ws.send) < q {
-			ws.send = make([][]complex128, q)
-		}
-		ws.sendSlab = make([]complex128, b*ws.stageMax)
 	}
 	n := pl.Pe.Grid.N
 	ws.lineLen = pl.plan3.RealWorkLen()
@@ -244,13 +235,6 @@ func (pl *Plan) ensureBatch(b int) {
 	ws.chunkCap = par.Chunks(b*ws.stageMax, lineGrain)
 	ws.line = make([]complex128, ws.chunkCap*ws.lineLen)
 	ws.fields = b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // invariant is the single internal panic of the package. It fires only on
@@ -422,7 +406,7 @@ func (pl *Plan) ForwardBatchInto(srcs [][]float64, dsts [][]complex128) error {
 			}
 			nxt = pl.ws.hdrB[:B]
 		}
-		dims = pl.reshuffleBatch(pe.Row, cur, nxt, dims, 1, 2, pe.Grid.N[1])
+		dims = pl.ws.wire.transpose(pl, pe.Row, cur, nxt, dims, 1, 2, pe.Grid.N[1])
 		cur = nxt
 	}
 
@@ -435,7 +419,7 @@ func (pl *Plan) ForwardBatchInto(srcs [][]float64, dsts [][]complex128) error {
 	// Stage 3: transpose in the column communicator — unsplit dim 0,
 	// split dim 1: (n1loc, N2, m3loc) -> (N1, n2loc2, m3loc).
 	if qCol > 1 {
-		dims = pl.reshuffleBatch(pe.Col, cur, dsts, dims, 0, 1, pe.Grid.N[0])
+		dims = pl.ws.wire.transpose(pl, pe.Col, cur, dsts, dims, 0, 1, pe.Grid.N[0])
 		cur = dsts
 	}
 
@@ -532,7 +516,7 @@ func (pl *Plan) InverseBatchInto(specs [][]complex128, outs [][]float64) error {
 			pl.ws.hdrB[b] = pl.ws.bufB[b][:prodB]
 		}
 		nxt := pl.ws.hdrB[:B]
-		dims = pl.reshuffleBatch(pe.Col, cur, nxt, dims, 1, 0, pe.Grid.N[1])
+		dims = pl.ws.wire.transpose(pl, pe.Col, cur, nxt, dims, 1, 0, pe.Grid.N[1])
 		cur = nxt
 	}
 
@@ -549,7 +533,7 @@ func (pl *Plan) InverseBatchInto(specs [][]complex128, outs [][]float64) error {
 			pl.ws.hdrA[b] = pl.ws.bufA[b][:prodA]
 		}
 		nxt := pl.ws.hdrA[:B]
-		dims = pl.reshuffleBatch(pe.Row, cur, nxt, dims, 2, 1, pl.m3)
+		dims = pl.ws.wire.transpose(pl, pe.Row, cur, nxt, dims, 2, 1, pl.m3)
 		cur = nxt
 	}
 	if dims != pl.dimsA {
@@ -564,74 +548,49 @@ func (pl *Plan) InverseBatchInto(specs [][]complex128, outs [][]float64) error {
 	return nil
 }
 
-// reshuffleBatch redistributes the B per-field blocks src within comm:
-// axis u, currently split across the communicator, becomes complete
-// (global length gu), while axis s, currently complete, becomes split.
-// All B fields travel in one AlltoallvComplex with field-interleaved
-// payloads; dst[b] receives field b. Returns the new local dimensions.
-// Callers skip trivial communicators (size 1) entirely — the shares are
-// the whole axes, so the block is already in its destination layout.
-func (pl *Plan) reshuffleBatch(c *mpi.Comm, src, dst [][]complex128, dims [3]int, u, s, gu int) [3]int {
-	if pl.precision == prec.F32 {
-		return pl.reshuffleBatch32(c, src, dst, dims, u, s, gu)
-	}
-	q := c.Size()
-	B := len(src)
-	old := c.SetPhase(mpi.PhaseFFTComm)
-	defer c.SetPhase(old)
-	c.CountTranspose(B)
-
-	ws := &pl.ws
-	pos := 0
-	for t := 0; t < q; t++ {
-		lo, hi := grid.Share(dims[s], q, t)
-		blk := dims
-		blk[s] = hi - lo
-		off := [3]int{}
-		off[s] = lo
-		blkTot := blk[0] * blk[1] * blk[2]
-		part := ws.sendSlab[pos : pos+B*blkTot]
-		pos += B * blkTot
-		for b := 0; b < B; b++ {
-			packBlockInto(part[b*blkTot:(b+1)*blkTot], src[b], dims, off, blk)
-		}
-		ws.send[t] = part
-	}
-	recv := c.AlltoallvComplex(ws.send[:q])
-
-	myLoS, myHiS := grid.Share(dims[s], q, c.Rank())
-	newDims := dims
-	newDims[u] = gu
-	newDims[s] = myHiS - myLoS
-	for r := 0; r < q; r++ {
-		loU, hiU := grid.Share(gu, q, r)
-		blk := newDims
-		blk[u] = hiU - loU
-		off := [3]int{}
-		off[u] = loU
-		blkTot := blk[0] * blk[1] * blk[2]
-		for b := 0; b < B; b++ {
-			unpackBlock(dst[b], newDims, off, blk, recv[r][b*blkTot:(b+1)*blkTot])
-		}
-	}
-	return newDims
+// transposer redistributes pencil blocks at one wire format (see wire).
+type transposer interface {
+	transpose(pl *Plan, c *mpi.Comm, src, dst [][]complex128, dims [3]int, u, s, gu int) [3]int
 }
 
-// reshuffleBatch32 is the narrow-precision transpose: identical block
-// schedule to reshuffleBatch, but payloads travel as interleaved (re, im)
-// float32 pairs — half the wire bytes per coefficient. The mpi envelope
-// (length + checksum) guards the bytes in flight; on top of that the
-// decode validates the narrow framing per source — an even float count
-// matching exactly 2·B·blkTot — and raises a typed *mpi.CommError on a
-// ragged tail rather than decoding a garbage trailing element.
-func (pl *Plan) reshuffleBatch32(c *mpi.Comm, src, dst [][]complex128, dims [3]int, u, s, gu int) [3]int {
+// wire is the transpose of one wire format W: the one block schedule of
+// both precisions, with the send slab it packs into and the row codec of
+// the format. At complex128 a row travels as a plain copy; at float32 each
+// coefficient travels as an interleaved (re, im) pair — half the bytes.
+type wire[W complex128 | float32] struct {
+	width int                             // wire elements per coefficient
+	put   func(dst []W, row []complex128) // encode one row
+	get   func(row []complex128, src []W) // decode one row
+	send  [][]W                           // per-target headers into slab
+	slab  []W                             // fused transpose pack buffer
+}
+
+// transpose redistributes the B per-field blocks src within comm: axis u,
+// currently split across the communicator, becomes complete (global
+// length gu), while axis s, currently complete, becomes split. All B
+// fields travel in one all-to-all with field-interleaved payloads; dst[b]
+// receives field b. Returns the new local dimensions. Callers skip trivial
+// communicators (size 1) entirely — the shares are the whole axes, so the
+// block is already in its destination layout.
+//
+// The mpi envelope (length + checksum) guards the bytes in flight; on top
+// of that the decode validates the framing per source — exactly
+// width·B·blkTot wire elements — and raises a typed *mpi.CommError on a
+// ragged payload rather than decoding a garbage trailing element.
+func (w *wire[W]) transpose(pl *Plan, c *mpi.Comm, src, dst [][]complex128, dims [3]int, u, s, gu int) [3]int {
 	q := c.Size()
 	B := len(src)
 	old := c.SetPhase(mpi.PhaseFFTComm)
 	defer c.SetPhase(old)
 	c.CountTranspose(B)
 
-	ws := &pl.ws
+	// The slab grows with the arena's batch capacity and is kept.
+	if len(w.send) < q {
+		w.send = make([][]W, q)
+	}
+	if n := w.width * pl.ws.fields * pl.ws.stageMax; len(w.slab) < n {
+		w.slab = make([]W, n)
+	}
 	pos := 0
 	for t := 0; t < q; t++ {
 		lo, hi := grid.Share(dims[s], q, t)
@@ -639,15 +598,15 @@ func (pl *Plan) reshuffleBatch32(c *mpi.Comm, src, dst [][]complex128, dims [3]i
 		blk[s] = hi - lo
 		off := [3]int{}
 		off[s] = lo
-		blkTot := blk[0] * blk[1] * blk[2]
-		part := ws.sendSlab32[pos : pos+2*B*blkTot]
-		pos += 2 * B * blkTot
+		n := w.width * blk[0] * blk[1] * blk[2]
+		part := w.slab[pos : pos+B*n]
+		pos += B * n
 		for b := 0; b < B; b++ {
-			packBlockInto32(part[2*b*blkTot:2*(b+1)*blkTot], src[b], dims, off, blk)
+			w.pack(part[b*n:(b+1)*n], src[b], dims, off, blk)
 		}
-		ws.send32[t] = part
+		w.send[t] = part
 	}
-	recv := c.AlltoallvFloat32(ws.send32[:q])
+	recv := mpi.Alltoallv(c, w.send[:q])
 
 	myLoS, myHiS := grid.Share(dims[s], q, c.Rank())
 	newDims := dims
@@ -659,75 +618,62 @@ func (pl *Plan) reshuffleBatch32(c *mpi.Comm, src, dst [][]complex128, dims [3]i
 		blk[u] = hiU - loU
 		off := [3]int{}
 		off[u] = loU
-		blkTot := blk[0] * blk[1] * blk[2]
-		if len(recv[r])%2 != 0 || len(recv[r]) != 2*B*blkTot {
+		n := w.width * blk[0] * blk[1] * blk[2]
+		if len(recv[r]) != B*n {
 			mpi.Raise(&mpi.CommError{
 				Rank:   c.Rank(),
 				Phase:  mpi.PhaseFFTComm,
-				Op:     "alltoallv-f32",
-				Detail: fmt.Sprintf("narrow transpose payload from source %d: %d floats, want %d (B=%d, block %v)", r, len(recv[r]), 2*B*blkTot, B, blk),
+				Op:     "alltoallv",
+				Detail: fmt.Sprintf("transpose payload from source %d: %d wire elements, want %d (%d per coefficient, B=%d, block %v)", r, len(recv[r]), B*n, w.width, B, blk),
 			})
 		}
 		for b := 0; b < B; b++ {
-			unpackBlock32(dst[b], newDims, off, blk, recv[r][2*b*blkTot:2*(b+1)*blkTot])
+			w.unpack(dst[b], newDims, off, blk, recv[r][b*n:(b+1)*n])
 		}
 	}
 	return newDims
 }
 
-// packBlockInto extracts the sub-block of a 3D array starting at off with
-// the given block dimensions into the caller's contiguous slice.
-func packBlockInto(out, src []complex128, dims, off, blk [3]int) {
+// pack encodes the sub-block of a 3D array starting at off with the given
+// block dimensions into the caller's contiguous slice, row by row.
+func (w *wire[W]) pack(out []W, src []complex128, dims, off, blk [3]int) {
 	pos := 0
 	for i0 := 0; i0 < blk[0]; i0++ {
 		for i1 := 0; i1 < blk[1]; i1++ {
 			base := ((off[0]+i0)*dims[1]+(off[1]+i1))*dims[2] + off[2]
-			copy(out[pos:pos+blk[2]], src[base:base+blk[2]])
-			pos += blk[2]
+			w.put(out[pos:], src[base:base+blk[2]])
+			pos += w.width * blk[2]
 		}
 	}
 }
 
-// unpackBlock writes a contiguous block into the sub-region of dst at off.
-func unpackBlock(dst []complex128, dims, off, blk [3]int, src []complex128) {
+// unpack decodes a contiguous block into the sub-region of dst at off.
+func (w *wire[W]) unpack(dst []complex128, dims, off, blk [3]int, src []W) {
 	pos := 0
 	for i0 := 0; i0 < blk[0]; i0++ {
 		for i1 := 0; i1 < blk[1]; i1++ {
 			base := ((off[0]+i0)*dims[1]+(off[1]+i1))*dims[2] + off[2]
-			copy(dst[base:base+blk[2]], src[pos:pos+blk[2]])
-			pos += blk[2]
+			w.get(dst[base:base+blk[2]], src[pos:])
+			pos += w.width * blk[2]
 		}
 	}
 }
 
-// packBlockInto32 is packBlockInto encoding each complex coefficient as an
-// interleaved (re, im) float32 pair; out has 2x the block's element count.
-func packBlockInto32(out []float32, src []complex128, dims, off, blk [3]int) {
-	pos := 0
-	for i0 := 0; i0 < blk[0]; i0++ {
-		for i1 := 0; i1 < blk[1]; i1++ {
-			base := ((off[0]+i0)*dims[1]+(off[1]+i1))*dims[2] + off[2]
-			for _, v := range src[base : base+blk[2]] {
-				out[pos] = float32(real(v))
-				out[pos+1] = float32(imag(v))
-				pos += 2
-			}
-		}
+// copyRow is the complex128 row codec: the wire carries the coefficients.
+func copyRow(dst, src []complex128) { copy(dst, src) }
+
+// putRow32 encodes a row of coefficients as interleaved (re, im) float32
+// pairs.
+func putRow32(dst []float32, row []complex128) {
+	for j, v := range row {
+		dst[2*j] = float32(real(v))
+		dst[2*j+1] = float32(imag(v))
 	}
 }
 
-// unpackBlock32 decodes interleaved (re, im) float32 pairs back into the
-// sub-region of dst at off.
-func unpackBlock32(dst []complex128, dims, off, blk [3]int, src []float32) {
-	pos := 0
-	for i0 := 0; i0 < blk[0]; i0++ {
-		for i1 := 0; i1 < blk[1]; i1++ {
-			base := ((off[0]+i0)*dims[1]+(off[1]+i1))*dims[2] + off[2]
-			row := dst[base : base+blk[2]]
-			for j := range row {
-				row[j] = complex(float64(src[pos]), float64(src[pos+1]))
-				pos += 2
-			}
-		}
+// getRow32 decodes interleaved (re, im) float32 pairs into a row.
+func getRow32(row []complex128, src []float32) {
+	for j := range row {
+		row[j] = complex(float64(src[2*j]), float64(src[2*j+1]))
 	}
 }

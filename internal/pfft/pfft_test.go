@@ -9,6 +9,7 @@ import (
 	"diffreg/internal/fft"
 	"diffreg/internal/grid"
 	"diffreg/internal/mpi"
+	"diffreg/internal/prec"
 )
 
 // globalField builds a deterministic global array so every rank can fill
@@ -57,7 +58,7 @@ func TestForwardMatchesSerial(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			pl := NewPlan(pe)
+			pl := NewPlanPrec(pe, prec.F64)
 			spec := mustFwd(pl, localPart(pe, global))
 			d := pl.SpecDims()
 			if len(spec) != d[0]*d[1]*d[2] {
@@ -97,7 +98,7 @@ func TestRoundTrip(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			pl := NewPlan(pe)
+			pl := NewPlanPrec(pe, prec.F64)
 			local := localPart(pe, global)
 			spec := mustFwd(pl, local)
 			back := mustInv(pl, spec)
@@ -132,7 +133,7 @@ func TestEachSpecCoversAll(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pl := NewPlan(pe)
+		pl := NewPlanPrec(pe, prec.F64)
 		count := 0
 		pl.EachSpec(func(idx, k1, k2, k3 int) {
 			if idx != count {
@@ -170,7 +171,7 @@ func TestDerivativeViaSpectrum(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			pl := NewPlan(pe)
+			pl := NewPlanPrec(pe, prec.F64)
 			local := make([]float64, pe.LocalTotal())
 			pe.EachLocal(func(i1, i2, i3, idx int) {
 				x1, _, _ := pe.Coords(i1, i2, i3)
@@ -206,7 +207,7 @@ func TestTransposeCommVolume(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pl := NewPlan(pe)
+		pl := NewPlanPrec(pe, prec.F64)
 		local := make([]float64, pe.LocalTotal())
 		mustFwd(pl, local)
 		return nil
@@ -234,8 +235,8 @@ func TestTransferSpectrumIdentityGrid(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			plA := NewPlan(pe)
-			plB := NewPlan(pe)
+			plA := NewPlanPrec(pe, prec.F64)
+			plB := NewPlanPrec(pe, prec.F64)
 			spec := mustFwd(plA, localPart(pe, global))
 			moved := TransferSpectrum(plA, plB, spec)
 			back := mustInv(plB, moved)
@@ -273,8 +274,8 @@ func TestTransferSpectrumParsevalBound(t *testing.T) {
 	_, err := mpi.Run(2, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
 		peF, _ := grid.NewPencil(fine, c)
 		peC, _ := grid.NewPencil(coarse, c)
-		plF := NewPlan(peF)
-		plC := NewPlan(peC)
+		plF := NewPlanPrec(peF, prec.F64)
+		plC := NewPlanPrec(peC, prec.F64)
 		local := localPart(peF, global)
 		spec := mustFwd(plF, local)
 		moved := TransferSpectrum(plF, plC, spec)

@@ -76,8 +76,8 @@ func TransferSpectrumBatch(src, dst *Plan, specs [][]complex128) [][]complex128 
 	})
 
 	old := c.SetPhase(mpi.PhaseFFTComm)
-	recvVals := c.AlltoallvComplex(sendVals)
-	recvIdx := c.AlltoallvInt(sendIdx)
+	recvVals := mpi.Alltoallv(c, sendVals)
+	recvIdx := mpi.Alltoallv(c, sendIdx)
 	c.SetPhase(old)
 
 	outs := make([][]complex128, B)

@@ -8,6 +8,7 @@ import (
 	"diffreg/internal/grid"
 	"diffreg/internal/mpi"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 	regopt "diffreg/internal/regopt"
 	"diffreg/internal/spectral"
 )
@@ -21,7 +22,7 @@ func TestGradFDConvergence(t *testing.T) {
 		g := grid.MustNew(cfg.n, cfg.n, cfg.n)
 		_, err := mpi.Run(1, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
 			pe, _ := grid.NewPencil(g, c)
-			ops := spectral.New(pfft.NewPlan(pe))
+			ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 			rhoT := field.NewScalar(pe)
 			rhoT.SetFunc(func(x1, x2, x3 float64) float64 {
 				s1, s2, s3 := math.Sin(x1), math.Sin(x2), math.Sin(x3)

@@ -29,7 +29,7 @@ func setupPrec(t *testing.T, g grid.Grid, p int, precision prec.Precision, opt O
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		rhoT := field.NewScalar(pe)
 		rhoT.SetFunc(func(x1, x2, x3 float64) float64 {
 			s1, s2, s3 := math.Sin(x1), math.Sin(x2), math.Sin(x3)
@@ -84,7 +84,7 @@ func TestNewValidatesOptions(t *testing.T) {
 	g := grid.MustNew(8, 8, 8)
 	_, err := mpi.Run(1, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
 		pe, _ := grid.NewPencil(g, c)
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		s := field.NewScalar(pe)
 		if _, err := New(ops, s, s, Options{Beta: 0, Nt: 4}); err == nil {
 			t.Error("beta = 0 accepted")
@@ -103,7 +103,7 @@ func TestObjectiveZeroWhenImagesEqual(t *testing.T) {
 	g := grid.MustNew(12, 12, 12)
 	_, err := mpi.Run(1, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
 		pe, _ := grid.NewPencil(g, c)
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		img := field.NewScalar(pe)
 		img.SetFunc(func(x1, _, _ float64) float64 { return math.Sin(x1) })
 		pr, _ := New(ops, img, img, DefaultOptions())

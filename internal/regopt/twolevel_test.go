@@ -93,7 +93,7 @@ func TestTransferScalarRoundTrip(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		cops := spectral.New(pfft.NewPlan(cpe))
+		cops := spectral.New(pfft.NewPlanPrec(cpe, prec.F64))
 		down := spectral.Resample(pr.Ops, cops, s)
 		back := spectral.Resample(cops, pr.Ops, down)
 		for i := range s.Data {

@@ -15,6 +15,7 @@ import (
 	"diffreg/internal/field"
 	"diffreg/internal/grid"
 	"diffreg/internal/mpi"
+	"diffreg/internal/prec"
 )
 
 // runPlanCase builds a plan whose q-th coordinate is poisoned and returns
@@ -43,7 +44,7 @@ func runPlanCase(t *testing.T, p int, poison float64) error {
 			if c.Rank() == 0 {
 				pts[1][n/2] = poison
 			}
-			pl := NewPlan(pe, pts)
+			pl := NewPlanPrec(pe, pts, prec.F64)
 			f := make([]float64, pe.LocalTotal())
 			pl.Interp(f)
 			return nil

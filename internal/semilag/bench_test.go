@@ -33,7 +33,7 @@ func BenchmarkEvalOrder(b *testing.B) {
 					pts[d][q] = rng.Float64() * 64
 				}
 			}
-			plan := NewPlan(pe, pts)
+			plan := NewPlanPrec(pe, pts, prec.F64)
 			if !sorted {
 				// Undo the cell sorting: restore arrival order.
 				for r := range plan.origIdx {
@@ -136,7 +136,7 @@ func BenchmarkPlanBuild(b *testing.B) {
 					return err
 				}
 				pts := departureLikePoints(pe)
-				plan := NewPlan(pe, pts)
+				plan := NewPlanPrec(pe, pts, prec.F64)
 				if c.Rank() == 0 {
 					b.ResetTimer()
 				}
@@ -144,7 +144,7 @@ func BenchmarkPlanBuild(b *testing.B) {
 					if reset {
 						plan.Reset(pts)
 					} else {
-						plan = NewPlan(pe, pts)
+						plan = NewPlanPrec(pe, pts, prec.F64)
 					}
 				}
 				return nil

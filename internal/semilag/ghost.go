@@ -3,10 +3,15 @@
 // interpolation with its scatter/ghost communication pattern (Algorithm 1),
 // and the reusable interpolation plan that is built once per velocity field
 // per Newton iteration.
+//
+// A plan evaluates at float64 or float32 (NewPlanPrec). The halo pad, the
+// tricubic gather and the value return are one generic code path each,
+// instantiated at both; coordinates and the scatter plan stay float64.
 package semilag
 
 import (
 	"diffreg/internal/grid"
+	"diffreg/internal/interp"
 	"diffreg/internal/mpi"
 )
 
@@ -66,9 +71,21 @@ const (
 	tagColLeft  = 104
 )
 
+// narrowInto copies src into dst at the padded array's precision: a row
+// copy at float64, an element-wise narrowing at float32.
+func narrowInto[T interp.Float](dst []T, src []float64) {
+	if d, ok := any(dst).([]float64); ok {
+		copy(d, src)
+		return
+	}
+	for j, v := range src {
+		dst[j] = T(v)
+	}
+}
+
 // interiorInto copies the local field into the interior of the padded
 // array dst.
-func (g *Ghost) interiorInto(dst, f []float64) {
+func interiorInto[T interp.Float](g *Ghost, dst []T, f []float64) {
 	pe := g.Pe
 	const G = GhostWidth
 	n1, n2, n3 := pe.Local(0), pe.Local(1), pe.Local(2)
@@ -77,28 +94,22 @@ func (g *Ghost) interiorInto(dst, f []float64) {
 		for i2 := 0; i2 < n2; i2++ {
 			src := (i1*n2 + i2) * n3
 			dst0 := ((i1+G)*pd[1] + (i2 + G)) * pd[2]
-			copy(dst[dst0:dst0+n3], f[src:src+n3])
+			narrowInto(dst[dst0:dst0+n3], f[src:src+n3])
 		}
 	}
 }
 
 // rowBlockInto packs GhostWidth rows of the unpadded field starting at
 // i1lo into blk (the phase-A payload).
-func (g *Ghost) rowBlockInto(blk, f []float64, i1lo int) {
+func rowBlockInto[T interp.Float](g *Ghost, blk []T, f []float64, i1lo int) {
 	pe := g.Pe
-	const G = GhostWidth
-	n2, n3 := pe.Local(1), pe.Local(2)
-	pos := 0
-	for i1 := i1lo; i1 < i1lo+G; i1++ {
-		src := i1 * n2 * n3
-		copy(blk[pos:pos+n2*n3], f[src:src+n2*n3])
-		pos += n2 * n3
-	}
+	n23 := pe.Local(1) * pe.Local(2)
+	narrowInto(blk[:GhostWidth*n23], f[i1lo*n23:(i1lo+GhostWidth)*n23])
 }
 
 // placeRows unpacks a phase-A payload into the padded array at padded row
 // pi1lo.
-func (g *Ghost) placeRows(dst []float64, pi1lo int, blk []float64) {
+func placeRows[T interp.Float](g *Ghost, dst []T, pi1lo int, blk []T) {
 	pe := g.Pe
 	const G = GhostWidth
 	n2, n3 := pe.Local(1), pe.Local(2)
@@ -116,7 +127,7 @@ func (g *Ghost) placeRows(dst []float64, pi1lo int, blk []float64) {
 // colBlockInto packs GhostWidth columns starting at padded column pi2lo
 // into blk (the phase-B payload). It reads the padded array, so the
 // phase-A corners travel for free.
-func (g *Ghost) colBlockInto(blk, padded []float64, pi2lo int) {
+func colBlockInto[T interp.Float](g *Ghost, blk, padded []T, pi2lo int) {
 	pe := g.Pe
 	const G = GhostWidth
 	n3 := pe.Local(2)
@@ -133,7 +144,7 @@ func (g *Ghost) colBlockInto(blk, padded []float64, pi2lo int) {
 
 // placeCols unpacks a phase-B payload into the padded array at padded
 // column pi2lo.
-func (g *Ghost) placeCols(dst []float64, pi2lo int, blk []float64) {
+func placeCols[T interp.Float](g *Ghost, dst []T, pi2lo int, blk []T) {
 	pe := g.Pe
 	const G = GhostWidth
 	n3 := pe.Local(2)
@@ -150,24 +161,28 @@ func (g *Ghost) placeCols(dst []float64, pi2lo int, blk []float64) {
 
 // Pad returns a copy of the local field extended by halo layers obtained
 // from the neighboring ranks (or by periodic wrap when a dimension is not
-// split). The input field has the pencil's local dimensions.
-func (g *Ghost) Pad(f []float64) []float64 {
-	out := make([]float64, g.PaddedLen())
-	g.PadInto(out, f, make([]float64, g.MaxBlockLen()))
+// split), at the precision T of the padded array. The input field has the
+// pencil's local dimensions.
+func Pad[T interp.Float](g *Ghost, f []float64) []T {
+	out := make([]T, g.PaddedLen())
+	PadInto(g, out, f, make([]T, g.MaxBlockLen()))
 	return out
 }
 
 // PadInto fills dst (length PaddedLen) with the halo-padded field, staging
 // neighbor-exchange payloads in blk (length at least MaxBlockLen). It is
 // the allocation-free core of Pad: with a plan-owned dst and blk the only
-// allocations left are the receive buffers the MPI layer hands back.
-func (g *Ghost) PadInto(dst, f, blk []float64) {
+// allocations left are the receive buffers the MPI layer hands back. At
+// float32 the field narrows once, on the copies out of f, and the halo
+// layers travel the same neighbor-exchange pattern (same tags, same cost
+// structure) at half the bytes.
+func PadInto[T interp.Float](g *Ghost, dst []T, f []float64, blk []T) {
 	pe := g.Pe
 	const G = GhostWidth
 	n1, n2 := pe.Local(0), pe.Local(1)
 	p1, p2 := pe.P[0], pe.P[1]
 
-	g.interiorInto(dst, f)
+	interiorInto(g, dst, f)
 
 	// Phases are per-communicator: set the split comms too so the halo
 	// point-to-points are charged to interpolation communication.
@@ -185,39 +200,39 @@ func (g *Ghost) PadInto(dst, f, blk []float64) {
 	// owned dimension-1 range.
 	rb, cb := g.blockLens()
 	if p1 == 1 {
-		g.rowBlockInto(blk[:rb], f, n1-G)
-		g.placeRows(dst, 0, blk[:rb])
-		g.rowBlockInto(blk[:rb], f, 0)
-		g.placeRows(dst, n1+G, blk[:rb])
+		rowBlockInto(g, blk[:rb], f, n1-G)
+		placeRows(g, dst, 0, blk[:rb])
+		rowBlockInto(g, blk[:rb], f, 0)
+		placeRows(g, dst, n1+G, blk[:rb])
 	} else {
 		col := pe.Col
 		up := (pe.Coord[0] + 1) % p1
 		down := (pe.Coord[0] - 1 + p1) % p1
-		g.rowBlockInto(blk[:rb], f, n1-G)
+		rowBlockInto(g, blk[:rb], f, n1-G)
 		col.Send(up, tagRowUp, blk[:rb]) // my top rows -> their low ghosts
-		g.rowBlockInto(blk[:rb], f, 0)
+		rowBlockInto(g, blk[:rb], f, 0)
 		col.Send(down, tagRowDown, blk[:rb]) // my bottom rows -> their high ghosts
-		g.placeRows(dst, 0, col.Recv(down, tagRowUp).([]float64))
-		g.placeRows(dst, n1+G, col.Recv(up, tagRowDown).([]float64))
+		placeRows(g, dst, 0, col.Recv(down, tagRowUp).([]T))
+		placeRows(g, dst, n1+G, col.Recv(up, tagRowDown).([]T))
 	}
 
 	// Phase B: exchange slabs along dimension 1 within the row
 	// communicator. Slabs span the full padded dimension 0, so the corner
 	// halos arrive for free.
 	if p2 == 1 {
-		g.colBlockInto(blk[:cb], dst, n2)
-		g.placeCols(dst, 0, blk[:cb])
-		g.colBlockInto(blk[:cb], dst, G)
-		g.placeCols(dst, n2+G, blk[:cb])
+		colBlockInto(g, blk[:cb], dst, n2)
+		placeCols(g, dst, 0, blk[:cb])
+		colBlockInto(g, blk[:cb], dst, G)
+		placeCols(g, dst, n2+G, blk[:cb])
 	} else {
 		row := pe.Row
 		right := (pe.Coord[1] + 1) % p2
 		left := (pe.Coord[1] - 1 + p2) % p2
-		g.colBlockInto(blk[:cb], dst, n2)
+		colBlockInto(g, blk[:cb], dst, n2)
 		row.Send(right, tagColRight, blk[:cb]) // my rightmost owned columns
-		g.colBlockInto(blk[:cb], dst, G)
+		colBlockInto(g, blk[:cb], dst, G)
 		row.Send(left, tagColLeft, blk[:cb]) // my leftmost owned columns
-		g.placeCols(dst, 0, row.Recv(left, tagColRight).([]float64))
-		g.placeCols(dst, n2+G, row.Recv(right, tagColLeft).([]float64))
+		placeCols(g, dst, 0, row.Recv(left, tagColRight).([]T))
+		placeCols(g, dst, n2+G, row.Recv(right, tagColLeft).([]T))
 	}
 }

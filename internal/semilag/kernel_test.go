@@ -71,9 +71,9 @@ func evalPoint32Ref(f []float32, pd [3]int, pe *grid.Pencil, x1, x2, x3 float64)
 	li1 := i1 - pe.Lo[0] + GhostWidth
 	li2 := i2 - pe.Lo[1] + GhostWidth
 	corner := (li1-1)*stride1 + (li2-1)*stride2
-	w1 := interp.Weights32(float32(t1))
-	w2 := interp.Weights32(float32(t2))
-	w3 := interp.Weights32(float32(t3))
+	w1 := interp.WeightsOf[float32](float32(t1))
+	w2 := interp.WeightsOf[float32](float32(t2))
+	w3 := interp.WeightsOf[float32](float32(t3))
 	var sum float32
 	if i3 >= 1 && i3 <= n3-3 {
 		base := corner + i3 - 1
@@ -128,14 +128,14 @@ func refInterp(pe *grid.Pencil, pts [3][]float64, f []float64, pr prec.Precision
 		slots[r] = append(slots[r], q)
 		send[r] = append(send[r], x1, x2, x3)
 	}
-	recv := pe.Comm.AlltoallvFloat64(send)
+	recv := mpi.Alltoallv(pe.Comm, send)
 	vals := make([][]float64, p)
 	var pad64 []float64
 	var pad32 []float32
 	if pr == prec.F32 {
-		pad32 = gh.Pad32(f)
+		pad32 = Pad[float32](gh, f)
 	} else {
-		pad64 = gh.Pad(f)
+		pad64 = Pad[float64](gh, f)
 	}
 	for r, xs := range recv {
 		vals[r] = make([]float64, len(xs)/3)
@@ -147,7 +147,7 @@ func refInterp(pe *grid.Pencil, pts [3][]float64, f []float64, pr prec.Precision
 			}
 		}
 	}
-	back := pe.Comm.AlltoallvFloat64(vals)
+	back := mpi.Alltoallv(pe.Comm, vals)
 	out := make([]float64, len(pts[0]))
 	for r := range back {
 		for k, q := range slots[r] {
@@ -244,7 +244,7 @@ func TestPlanResetMatchesFreshPlan(t *testing.T) {
 				return err
 			}
 			lf := localOf(pe, f)
-			plan := NewPlan(pe, wrapHeavyPoints(g, 100, int64(c.Rank())))
+			plan := NewPlanPrec(pe, wrapHeavyPoints(g, 100, int64(c.Rank())), prec.F64)
 			plan.Interp(lf)
 			for i, nq := range []int{400, 50, 400} {
 				pts := wrapHeavyPoints(g, nq, int64(10*i+c.Rank()))
@@ -252,7 +252,7 @@ func TestPlanResetMatchesFreshPlan(t *testing.T) {
 				if plan.NQ != nq || plan.Evals != 0 {
 					t.Errorf("p=%d: after Reset NQ=%d Evals=%d, want %d and 0", p, plan.NQ, plan.Evals, nq)
 				}
-				fresh := NewPlan(pe, pts)
+				fresh := NewPlanPrec(pe, pts, prec.F64)
 				if plan.OffRank != fresh.OffRank {
 					t.Errorf("p=%d: reset plan OffRank=%d, fresh %d", p, plan.OffRank, fresh.OffRank)
 				}

@@ -57,7 +57,7 @@ type Plan struct {
 
 	// precision selects the evaluation path: at prec.F32 the padded field,
 	// the tricubic gather, and the value-return exchange run in float32
-	// (see narrow.go). Coordinates and the communication plan stay float64.
+	// (see interpMany). Coordinates and the communication plan stay float64.
 	precision prec.Precision
 
 	sendIdx [][]int32 // per dest rank: local output slot of each query
@@ -272,17 +272,12 @@ func (pl *Plan) outsFor(nf int) [][]float64 {
 	return pl.outsScr[:nf]
 }
 
-// NewPlan builds a plan for the given query points, expressed in global
-// grid-index coordinates (one slice per dimension, equal lengths). Points
-// may lie anywhere; they are wrapped periodically. Evaluation runs at the
-// float64 reference precision.
-func NewPlan(pe *grid.Pencil, pts [3][]float64) *Plan {
-	return NewPlanPrec(pe, pts, prec.F64)
-}
-
-// NewPlanPrec is NewPlan with an explicit evaluation precision. The plan
-// owns its scratch and releases the build half once built; plans that come
-// and go with every velocity are built by a Planner, which keeps it.
+// NewPlanPrec builds a plan for the given query points, expressed in
+// global grid-index coordinates (one slice per dimension, equal lengths),
+// evaluating at precision pr. Points may lie anywhere; they are wrapped
+// periodically. The plan owns its scratch and releases the build half once
+// built; plans that come and go with every velocity are built by a
+// Planner, which keeps it.
 func NewPlanPrec(pe *grid.Pencil, pts [3][]float64, pr prec.Precision) *Plan {
 	pl := newPlan(pe, pr, new(workspace))
 	pl.Reset(pts)
@@ -314,7 +309,7 @@ func newPlan(pe *grid.Pencil, pr prec.Precision, ws *workspace) *Plan {
 // returned by earlier InterpMany calls are invalidated). The index arrays
 // and all scratch are reused, so a plan that lives for one gather per
 // velocity — the RK2 star plan — stops allocating in steady state.
-// Collective, like NewPlan.
+// Collective, like NewPlanPrec.
 //
 // The scatter phase of Algorithm 1 runs in O(NQ + padded cells): a counting
 // pass that validates every point and finds its owner, an exact-size fill
@@ -394,7 +389,7 @@ func (pl *Plan) Reset(pts [3][]float64) {
 	}
 
 	old := pe.Comm.SetPhase(mpi.PhaseInterpComm)
-	recv := pe.Comm.AlltoallvFloat64(scr.sendPts)
+	recv := mpi.Alltoallv(pe.Comm, scr.sendPts)
 	pe.Comm.SetPhase(old)
 	for r, raw := range recv {
 		pl.order(r, raw, scr)
@@ -457,7 +452,7 @@ func (pl *Plan) order(r int, raw []float64, scr *buildScratch) {
 
 // wrapCoord maps a continuous coordinate into [0, n) in O(1). A non-finite
 // input stays non-finite (math.Mod of NaN/Inf is NaN) and is rejected by
-// the range validation in NewPlan — the old repeated-subtraction wrap
+// the range validation in Reset — the old repeated-subtraction wrap
 // looped forever on -Inf and effectively forever on huge finite values.
 func wrapCoord(x float64, n int) float64 {
 	fn := float64(n)
@@ -485,23 +480,26 @@ func wrapCoord(x float64, n int) float64 {
 // calls must copy them.
 func (pl *Plan) InterpMany(fields ...[]float64) [][]float64 {
 	if pl.precision == prec.F32 {
-		return pl.interpMany32(fields)
+		return interpMany(pl, &pl.ws.f32, fields)
 	}
-	return pl.interpMany64(fields)
+	return interpMany(pl, &pl.ws.f64, fields)
 }
 
-// interpMany64 is the reference-precision exchange.
-func (pl *Plan) interpMany64(fields [][]float64) [][]float64 {
+// interpMany is InterpMany with the padded fields, the tricubic gather and
+// the value-return exchange at precision T. Coordinates and the
+// communication plan stay float64, and so does everything downstream of the
+// returned values (misfit, gradients, conservation sums): at float32 the
+// values widen exactly once, at the scatter into the float64 outputs.
+func interpMany[T interp.Float](pl *Plan, g *gatherScratch[T], fields [][]float64) [][]float64 {
 	pe := pl.Pe
 	p := pe.Comm.Size()
 	nf := len(fields)
 	// Pad every field of the call, then evaluate all of them in one pass
 	// over the points.
-	g := &pl.ws.f64
 	pads, blk := g.padsFor(pl.Ghost, nf)
 	for fi, f := range fields {
 		pe.Comm.CountInterp(int64(pl.NQ))
-		pl.Ghost.PadInto(pads[fi], f, blk)
+		PadInto(pl.Ghost, pads[fi], f, blk)
 	}
 	vals := g.valsFor(pl, nf)
 	t0 := time.Now()
@@ -513,7 +511,7 @@ func (pl *Plan) interpMany64(fields [][]float64) [][]float64 {
 	back := vals
 	if p > 1 {
 		old := pe.Comm.SetPhase(mpi.PhaseInterpComm)
-		back = pe.Comm.AlltoallvFloat64(vals)
+		back = mpi.Alltoallv(pe.Comm, vals)
 		pe.Comm.SetPhase(old)
 	}
 
@@ -524,7 +522,7 @@ func (pl *Plan) interpMany64(fields [][]float64) [][]float64 {
 		for fi := 0; fi < nf; fi++ {
 			seg := back[r][fi*npts : (fi+1)*npts]
 			for j, slot := range idx {
-				outs[fi][slot] = seg[j]
+				outs[fi][slot] = float64(seg[j])
 			}
 		}
 	}
@@ -612,7 +610,7 @@ func bytesOf[E any](ss ...[]E) int64 {
 	return n
 }
 
-// NewPlan builds a plan for the given query points (see NewPlan) on the
+// NewPlan builds a plan for the given query points (see NewPlanPrec) on the
 // planner's scratch.
 func (pn *Planner) NewPlan(pts [3][]float64) *Plan {
 	pl := newPlan(pn.star.Pe, pn.star.precision, &pn.ws)
@@ -665,5 +663,5 @@ func DeparturePrec(pe *grid.Pencil, v *field.Vector, dt float64, pr prec.Precisi
 // DeparturePlan builds the interpolation plan for the departure points of
 // velocity v and time step dt — the paper's "interpolation planner".
 func DeparturePlan(pe *grid.Pencil, v *field.Vector, dt float64) *Plan {
-	return NewPlan(pe, Departure(pe, v, dt))
+	return NewPlanPrec(pe, Departure(pe, v, dt), prec.F64)
 }

@@ -41,7 +41,7 @@ func TestGhostPadMatchesPeriodicIndexing(t *testing.T) {
 				return err
 			}
 			gh := NewGhost(pe)
-			padded := gh.Pad(localOf(pe, global))
+			padded := Pad[float64](gh, localOf(pe, global))
 			pd := gh.PaddedDims()
 			n := g.N
 			for pi1 := 0; pi1 < pd[0]; pi1++ {
@@ -87,7 +87,7 @@ func TestPlanInterpMatchesSerialReference(t *testing.T) {
 					pts[d][q] = (rng.Float64()*3 - 1) * float64(g.N[d]) // in [-N, 2N)
 				}
 			}
-			plan := NewPlan(pe, pts)
+			plan := NewPlanPrec(pe, pts, prec.F64)
 			got := plan.Interp(localOf(pe, global))
 			for q := 0; q < nq; q++ {
 				want := interp.EvalPeriodic(global, g.N, [3]float64{pts[0][q], pts[1][q], pts[2][q]})
@@ -123,7 +123,7 @@ func TestInterpManyMatchesRepeatedInterp(t *testing.T) {
 				pts[d][q] = rng.Float64() * float64(g.N[d])
 			}
 		}
-		plan := NewPlan(pe, pts)
+		plan := NewPlanPrec(pe, pts, prec.F64)
 		locals := make([][]float64, len(fields))
 		single := make([][]float64, len(fields))
 		for i, f := range fields {
@@ -246,7 +246,7 @@ func TestOffRankCounting(t *testing.T) {
 			pts[1][idx] = float64(pe.Lo[1] + i2)
 			pts[2][idx] = float64(pe.Lo[2] + i3)
 		})
-		plan := NewPlan(pe, pts)
+		plan := NewPlanPrec(pe, pts, prec.F64)
 		if plan.OffRank != 0 {
 			t.Errorf("expected 0 off-rank points, got %d", plan.OffRank)
 		}
@@ -254,7 +254,7 @@ func TestOffRankCounting(t *testing.T) {
 		for q := range pts[0] {
 			pts[0][q] += float64(g.N[0]) / 2
 		}
-		plan2 := NewPlan(pe, pts)
+		plan2 := NewPlanPrec(pe, pts, prec.F64)
 		if plan2.OffRank != nq {
 			t.Errorf("expected %d off-rank points, got %d", nq, plan2.OffRank)
 		}
@@ -284,7 +284,7 @@ func TestPlanExactAtNodes(t *testing.T) {
 			pts[1][idx] = float64(pe.Lo[1] + i2)
 			pts[2][idx] = float64(pe.Lo[2] + i3)
 		})
-		plan := NewPlan(pe, pts)
+		plan := NewPlanPrec(pe, pts, prec.F64)
 		local := localOf(pe, global)
 		got := plan.Interp(local)
 		for q := range got {
@@ -324,7 +324,7 @@ func TestPlanReuseCountersAndValues(t *testing.T) {
 				pts[d][q] = rng.Float64() * float64(g.N[d])
 			}
 		}
-		plan := NewPlan(pe, pts)
+		plan := NewPlanPrec(pe, pts, prec.F64)
 		offRank0 := plan.OffRank
 		perField := int64(0)
 		for r := range plan.recvPts {
@@ -364,7 +364,7 @@ func TestPlanReuseCountersAndValues(t *testing.T) {
 		}
 
 		for i := range fields {
-			fresh := NewPlan(pe, pts).Interp(locals[i])
+			fresh := NewPlanPrec(pe, pts, prec.F64).Interp(locals[i])
 			for q := 0; q < nq; q++ {
 				if math.Float64bits(batched[i][q]) != math.Float64bits(fresh[q]) {
 					t.Errorf("field %d point %d: batched reused plan %v != fresh plan %v",
@@ -477,6 +477,76 @@ func TestPlannerReleaseBuild(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// pencilOf decomposes g over a p1 x p2 process grid of c — unlike
+// grid.NewPencil, which always picks the squarest factorization with
+// p1 <= p2 — so a test can split dimension 0 alone.
+func pencilOf(g grid.Grid, c *mpi.Comm, p1, p2 int) *grid.Pencil {
+	r1, r2 := c.Rank()/p2, c.Rank()%p2
+	pe := &grid.Pencil{Grid: g, P: [2]int{p1, p2}, Coord: [2]int{r1, r2}, Comm: c}
+	pe.Lo[0], pe.Hi[0] = grid.Share(g.N[0], p1, r1)
+	pe.Lo[1], pe.Hi[1] = grid.Share(g.N[1], p2, r2)
+	pe.Lo[2], pe.Hi[2] = 0, g.N[2]
+	pe.Row = c.Split(r1, r2)
+	pe.Col = c.Split(r2, r1)
+	return pe
+}
+
+// interpWire runs one InterpMany call of nf fields on a p1 x p2 pencil and
+// returns each rank's interpolation-phase messages and received bytes of
+// that call alone (the plan build's coordinate exchange excluded).
+func interpWire(t *testing.T, g grid.Grid, p1, p2, nf int, pr prec.Precision) (msgs, bytes []int64) {
+	t.Helper()
+	p := p1 * p2
+	msgs, bytes = make([]int64, p), make([]int64, p)
+	_, err := mpi.Run(p, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
+		pe := pencilOf(g, c, p1, p2)
+		fields := make([][]float64, nf)
+		for fi := range fields {
+			fields[fi] = localOf(pe, globalRandom(g.N, int64(90+fi)))
+		}
+		pl := NewPlanPrec(pe, randomPoints(g, 300, int64(c.Rank())), pr)
+		before := *c.Stats()
+		pl.InterpMany(fields...)
+		after := c.Stats()
+		msgs[c.Rank()] = after.Messages[mpi.PhaseInterpComm] - before.Messages[mpi.PhaseInterpComm]
+		bytes[c.Rank()] = after.BytesRecv[mpi.PhaseInterpComm] - before.BytesRecv[mpi.PhaseInterpComm]
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msgs, bytes
+}
+
+// TestNarrowWireHalvesInterpBytes is the interpolation counterpart of
+// pfft's TestNarrowWireHalvesTransposeBytes: the ghost halos and the value
+// return of a float32 plan travel as float32, so per rank the call sends
+// the same messages as at float64 and receives exactly half the bytes —
+// with one and with three fields, with dimension 0, dimension 1 and both
+// split.
+func TestNarrowWireHalvesInterpBytes(t *testing.T) {
+	g := grid.MustNew(12, 12, 8)
+	for _, shape := range [][2]int{{2, 1}, {1, 2}, {2, 2}} {
+		for _, nf := range []int{1, 3} {
+			wideMsgs, wide := interpWire(t, g, shape[0], shape[1], nf, prec.F64)
+			narrowMsgs, narrow := interpWire(t, g, shape[0], shape[1], nf, prec.F32)
+			for r := range wide {
+				if wide[r] == 0 {
+					t.Fatalf("%dx%d nf=%d rank %d: no interpolation traffic on the wide path", shape[0], shape[1], nf, r)
+				}
+				if narrowMsgs[r] != wideMsgs[r] {
+					t.Errorf("%dx%d nf=%d rank %d: narrow wire %d messages, wide %d — want equal",
+						shape[0], shape[1], nf, r, narrowMsgs[r], wideMsgs[r])
+				}
+				if 2*narrow[r] != wide[r] {
+					t.Errorf("%dx%d nf=%d rank %d: narrow wire %d bytes, wide %d — want exactly half",
+						shape[0], shape[1], nf, r, narrow[r], wide[r])
+				}
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"diffreg/internal/interp"
 	"diffreg/internal/mpi"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 )
 
 // withOps runs fn on p ranks with an operator set on the given grid.
@@ -21,7 +22,7 @@ func withOps(t *testing.T, g grid.Grid, p int, fn func(o *Ops) error) {
 		if err != nil {
 			return err
 		}
-		return fn(New(pfft.NewPlan(pe)))
+		return fn(New(pfft.NewPlanPrec(pe, prec.F64)))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +223,7 @@ func TestLerayProjectionProperty(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			o := New(pfft.NewPlan(pe))
+			o := New(pfft.NewPlanPrec(pe, prec.F64))
 			rng := rand.New(rand.NewSource(seed))
 			v := field.NewVector(pe)
 			for d := 0; d < 3; d++ {
@@ -295,7 +296,7 @@ func TestDistributedMatchesSerialOperators(t *testing.T) {
 	{
 		_, err := mpi.Run(1, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
 			pe, _ := grid.NewPencil(g, c)
-			o := New(pfft.NewPlan(pe))
+			o := New(pfft.NewPlanPrec(pe, prec.F64))
 			s := field.NewScalar(pe)
 			s.SetFunc(func(x1, x2, x3 float64) float64 {
 				return math.Sin(x1)*math.Cos(x2) + math.Sin(x2+2*x3)
@@ -312,7 +313,7 @@ func TestDistributedMatchesSerialOperators(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		o := New(pfft.NewPlan(pe))
+		o := New(pfft.NewPlanPrec(pe, prec.F64))
 		s := field.NewScalar(pe)
 		s.SetFunc(func(x1, x2, x3 float64) float64 {
 			return math.Sin(x1)*math.Cos(x2) + math.Sin(x2+2*x3)
@@ -415,8 +416,8 @@ func TestResampleMatchesSerialReference(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			opsF := New(pfft.NewPlan(peF))
-			opsC := New(pfft.NewPlan(peC))
+			opsF := New(pfft.NewPlanPrec(peF, prec.F64))
+			opsC := New(pfft.NewPlanPrec(peC, prec.F64))
 			s := field.NewScalar(peF)
 			fill(s, 7)
 			// Reference: gather, serial resample, compare pointwise.
@@ -458,8 +459,8 @@ func TestResampleAnisotropic(t *testing.T) {
 	_, err := mpi.Run(2, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
 		peF, _ := grid.NewPencil(fine, c)
 		peC, _ := grid.NewPencil(coarse, c)
-		opsF := New(pfft.NewPlan(peF))
-		opsC := New(pfft.NewPlan(peC))
+		opsF := New(pfft.NewPlanPrec(peF, prec.F64))
+		opsC := New(pfft.NewPlanPrec(peC, prec.F64))
 		s := field.NewScalar(peF)
 		s.SetFunc(func(x1, x2, x3 float64) float64 {
 			return 1 + math.Sin(x1)*math.Cos(x2) + 0.3*math.Cos(2*x3)

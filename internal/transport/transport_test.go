@@ -8,6 +8,7 @@ import (
 	"diffreg/internal/grid"
 	"diffreg/internal/mpi"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 	"diffreg/internal/spectral"
 )
 
@@ -18,7 +19,7 @@ func withSolver(t *testing.T, g grid.Grid, p, nt int, fn func(s *Solver) error) 
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		return fn(NewSolver(ops, nt))
 	})
 	if err != nil {

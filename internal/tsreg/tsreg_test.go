@@ -10,6 +10,7 @@ import (
 	"diffreg/internal/mpi"
 	"diffreg/internal/optim"
 	"diffreg/internal/pfft"
+	"diffreg/internal/prec"
 	"diffreg/internal/regopt"
 	"diffreg/internal/spectral"
 )
@@ -42,7 +43,7 @@ func withProblem(t *testing.T, n, p, nFrames int, opt regopt.Options, fn func(pr
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		frames, vStar := makeFrames(ops, nFrames, opt.Nt)
 		pr, err := New(ops, frames, opt)
 		if err != nil {
@@ -59,7 +60,7 @@ func TestNewValidates(t *testing.T) {
 	g := grid.MustNew(8, 8, 8)
 	_, err := mpi.Run(1, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
 		pe, _ := grid.NewPencil(g, c)
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		one := field.NewScalar(pe)
 		opt := regopt.DefaultOptions()
 		if _, err := New(ops, []*field.Scalar{one}, opt); err == nil {
@@ -102,7 +103,7 @@ func TestTwoFrameMatchesPairRegistration(t *testing.T) {
 	g := grid.MustNew(16, 16, 16)
 	_, err := mpi.Run(1, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
 		pe, _ := grid.NewPencil(g, c)
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		opt := regopt.DefaultOptions()
 		frames, _ := makeFrames(ops, 1, opt.Nt)
 
@@ -216,7 +217,7 @@ func TestSeriesProblemGradientMatchesFiniteDifference(t *testing.T) {
 	g := grid.MustNew(16, 16, 16)
 	_, err := mpi.Run(1, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
 		pe, _ := grid.NewPencil(g, c)
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		opt := regopt.DefaultOptions()
 		frames, _ := makeFrames(ops, 2, opt.Nt)
 		pr, err := NewSeries(ops, frames, opt)
@@ -260,7 +261,7 @@ func TestSeriesProblemSolvesTwoStageSequence(t *testing.T) {
 	g := grid.MustNew(16, 16, 16)
 	_, err := mpi.Run(1, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
 		pe, _ := grid.NewPencil(g, c)
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		nt := 4
 		// Build a two-stage ground truth with the series transport itself.
 		vsTrue := field.NewSeries(pe, 2)

@@ -89,7 +89,7 @@ func RegisterTimeSeries(frames []Volume, cfg Config) (*TimeSeriesResult, error) 
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		local := make([]*field.Scalar, len(frames))
 		for k := range frames {
 			local[k] = field.NewScalar(pe)
@@ -240,7 +240,7 @@ func SyntheticSequence(n1, n2, n3, nFrames, nt int, amplitude float64) ([]Volume
 		if err != nil {
 			return err
 		}
-		ops := spectral.New(pfft.NewPlan(pe))
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
 		rho0 := imaging.SyntheticTemplate(pe)
 		v := imaging.SyntheticVelocity(pe)
 		v.Scale(amplitude)
