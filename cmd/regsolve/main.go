@@ -194,8 +194,8 @@ func main() {
 	fmt.Printf("time to solution: %.3fs (fft comm %.4fs, fft exec %.4fs, interp comm %.4fs, interp exec %.4fs)\n",
 		ph.TimeToSolution, ph.FFTComm, ph.FFTExec, ph.InterpComm, ph.InterpExec)
 	fmt.Printf("work:             %d 3D FFTs, %d interpolation sweeps\n", res.FFTs, res.InterpSweeps)
-	fmt.Printf("memory:           max live heap %.1f MB over %d collections, VmHWM %s; model %s\n",
-		mb(int64(live.max.Load())), live.cycles.Load(), vmHWM(), memoryModel(tmpl.N, cfg))
+	fmt.Printf("memory:           max live heap %.1f MB over %d collections, VmHWM %s; %s\n",
+		mb(int64(live.max.Load())), live.cycles.Load(), vmHWM(), memoryModel(tmpl.N, cfg, live.max.Load()))
 
 	if *out != "" {
 		if err := writeResults(*out, res, tmpl, ref); err != nil {
@@ -238,15 +238,16 @@ func (lp *livePeak) arm() {
 func (lp *livePeak) stop() { lp.stopped.Store(true) }
 
 // memoryModel formats transport.MemoryPerRank (§III-C4) summed over the
-// ranks of the solve, on the pencils the solve itself runs on.
-func memoryModel(n [3]int, cfg diffreg.Config) string {
+// ranks of the solve, on the pencils the solve itself runs on, and the
+// ratio of the live heap to it.
+func memoryModel(n [3]int, cfg diffreg.Config, live uint64) string {
 	pr, err := prec.Parse(cfg.Precision)
 	if err != nil {
-		return "unavailable: " + err.Error()
+		return "model unavailable: " + err.Error()
 	}
 	g, err := grid.New(n[0], n[1], n[2])
 	if err != nil {
-		return "unavailable: " + err.Error()
+		return "model unavailable: " + err.Error()
 	}
 	var total float64
 	_, err = mpi.Run(max(cfg.Tasks, 1), mpi.DefaultCostModel(), func(c *mpi.Comm) error {
@@ -261,9 +262,10 @@ func memoryModel(n [3]int, cfg diffreg.Config) string {
 		return nil
 	})
 	if err != nil {
-		return "unavailable: " + err.Error()
+		return "model unavailable: " + err.Error()
 	}
-	return fmt.Sprintf("%.1f MB (MemoryPerRank over %d ranks)", mb(int64(total)), max(cfg.Tasks, 1))
+	return fmt.Sprintf("model %.1f MB (MemoryPerRank over %d ranks), live/model %.2f",
+		mb(int64(total)), max(cfg.Tasks, 1), float64(live)/total)
 }
 
 // vmHWM reads the process's peak resident set size from /proc/self/status.

@@ -135,14 +135,6 @@ func (p *Pencil) OwnerOf(j1, j2 int) int {
 	return r1*p.P[1] + r2
 }
 
-// RankShare returns the owned range of rank r in dimension d (d = 0 or 1).
-func (p *Pencil) RankShare(d, r int) (lo, hi int) {
-	if d == 0 {
-		return Share(p.Grid.N[0], p.P[0], r)
-	}
-	return Share(p.Grid.N[1], p.P[1], r)
-}
-
 // Coords returns the physical coordinates (x1, x2, x3) of the local point
 // with local indices (i1, i2, i3).
 func (p *Pencil) Coords(i1, i2, i3 int) (x1, x2, x3 float64) {

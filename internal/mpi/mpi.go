@@ -468,9 +468,6 @@ func (c *Comm) SetPhase(p Phase) Phase {
 // AddExec records measured execution (computation) time for a phase.
 func (c *Comm) AddExec(p Phase, seconds float64) { c.stats.MeasuredExec[p] += seconds }
 
-// CountFFT records one distributed 3D transform.
-func (c *Comm) CountFFT() { c.stats.FFTs++ }
-
 // CountFFTs records n distributed 3D transforms at once (a batched pipeline
 // carrying n fields still performs n logical transforms).
 func (c *Comm) CountFFTs(n int) { c.stats.FFTs += int64(n) }

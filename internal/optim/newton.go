@@ -243,20 +243,25 @@ func GaussNewton[T Vec[T]](p Objective[T], v0 T, opt NewtonOptions) *Result[T] {
 		// tightens as the gradient decays.
 		eta := opt.forcingEta(e.Gnorm, res.GnormInit)
 
-		rhs := e.G.Clone()
-		rhs.Scale(-1)
+		// The right-hand side -g, formed afresh for each reader by exact
+		// negation, so the Krylov solve holds it once, as its residual.
+		negG := func() T {
+			r := e.G.Clone()
+			r.Scale(-1)
+			return r
+		}
 		var dir T
 		var cg CGResult
 		usedSD := false
 		if forceSD {
 			forceSD = false
 			usedSD = true
-			dir = rhs.Clone()
+			dir = negG()
 		} else {
-			dir, cg = PCG(p.HessMatVec, p.ApplyPrec, rhs, eta, opt.MaxKrylov)
+			dir, cg = pcg(p.HessMatVec, p.ApplyPrec, negG, eta, opt.MaxKrylov)
 			if cg.Breakdown {
 				res.degrade("iter %d: PCG breakdown after %d iterations (restarts=%d); falling back to preconditioned gradient", iter, cg.Iters, cg.Restarts)
-				dir = p.ApplyPrec(rhs)
+				dir = p.ApplyPrec(negG())
 			}
 		}
 		slope := e.G.Dot(dir)
@@ -264,7 +269,7 @@ func GaussNewton[T Vec[T]](p Objective[T], v0 T, opt NewtonOptions) *Result[T] {
 			// Not a descent direction (a truncated or corrupted solve);
 			// fall back to the preconditioned gradient. The negated
 			// comparison also reroutes a NaN slope.
-			dir = p.ApplyPrec(rhs)
+			dir = p.ApplyPrec(negG())
 			slope = e.G.Dot(dir)
 		}
 		if !(slope < 0) {
@@ -272,7 +277,7 @@ func GaussNewton[T Vec[T]](p Objective[T], v0 T, opt NewtonOptions) *Result[T] {
 			// (an indefinite two-level or shifted preconditioner state): use
 			// plain steepest descent, whose slope -||g||^2 is negative for
 			// any nonzero gradient.
-			dir = rhs.Clone()
+			dir = negG()
 			slope = e.G.Dot(dir)
 		}
 		if !(slope < 0) {
@@ -285,7 +290,7 @@ func GaussNewton[T Vec[T]](p Objective[T], v0 T, opt NewtonOptions) *Result[T] {
 		if alpha == 0 && !usedSD {
 			// Escalation: the Newton direction found no acceptable step;
 			// retry once with plain steepest descent before giving up.
-			sd := rhs.Clone()
+			sd := negG()
 			sdSlope := e.G.Dot(sd)
 			if sdSlope < 0 {
 				res.degrade("iter %d: line search failed on the Newton direction; retrying with steepest descent", iter)

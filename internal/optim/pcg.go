@@ -50,9 +50,18 @@ type CGResult struct {
 // prec must return a vector of its own, neither its argument nor one it
 // keeps: the search direction is updated in place in that vector.
 func PCG[T Vec[T]](matvec, prec func(T) T, b T, rtol float64, maxIter int) (T, CGResult) {
-	x, res := pcgRun(matvec, prec, b, rtol, maxIter)
+	return pcg(matvec, prec, b.Clone, rtol, maxIter)
+}
+
+// pcg is PCG with the right-hand side given by rhs, which returns a fresh
+// vector holding b on every call. A pass takes that vector as its residual
+// and updates it in place, so the solve holds b only as its residual; the
+// restart asks for b again. GaussNewton passes -g formed from g, so its
+// right-hand side is not held twice.
+func pcg[T Vec[T]](matvec, prec func(T) T, rhs func() T, rtol float64, maxIter int) (T, CGResult) {
+	x, res := pcgRun(matvec, prec, rhs(), rtol, maxIter)
 	if res.Breakdown && res.Iters == 0 {
-		x2, res2 := pcgRun(matvec, func(r T) T { return r.Clone() }, b, rtol, maxIter)
+		x2, res2 := pcgRun(matvec, func(r T) T { return r.Clone() }, rhs(), rtol, maxIter)
 		res2.Restarts = 1
 		if !res2.Breakdown {
 			return x2, res2
@@ -63,10 +72,11 @@ func PCG[T Vec[T]](matvec, prec func(T) T, b T, rtol float64, maxIter int) (T, C
 }
 
 // pcgRun is one unguarded-restart-free PCG pass with breakdown detection.
-func pcgRun[T Vec[T]](matvec, prec func(T) T, b T, rtol float64, maxIter int) (T, CGResult) {
-	x := b.Clone()
+// r holds the right-hand side b on entry (r = b - A*0) and is the residual
+// throughout.
+func pcgRun[T Vec[T]](matvec, prec func(T) T, r T, rtol float64, maxIter int) (T, CGResult) {
+	x := r.Clone()
 	x.Scale(0)
-	r := b.Clone() // r = b - A*0
 	res := CGResult{}
 	bnorm := r.NormL2()
 	if bnorm == 0 {

@@ -127,3 +127,69 @@ func writtenComplex(buf []complex128) bool {
 	}
 	return false
 }
+
+// TestSpectraInPlaceBitIdentical: a forward transform into the plan's own
+// stage buffers (Spectra) gives the spectra of one into caller buffers, and
+// an inverse that starts from them, skipping its working copy, gives the
+// same pencils bit for bit, for a batch and for a single field, at every
+// decomposition shape and both wire precisions.
+func TestSpectraInPlaceBitIdentical(t *testing.T) {
+	const B = 3
+	g := grid.MustNew(16, 12, 10)
+	for _, p := range []int{1, 2, 4} {
+		for _, pr := range []prec.Precision{prec.F64, prec.F32} {
+			name := fmt.Sprintf("p=%d/%v", p, pr)
+			_, err := mpi.Run(p, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
+				pe, err := grid.NewPencil(g, c)
+				if err != nil {
+					return err
+				}
+				pl := NewPlanPrec(pe, pr)
+				srcs := batchFields(pe, B)
+				wantSpec := make([][]complex128, B)
+				wantOut := make([][]float64, B)
+				gotOut := make([][]float64, B)
+				for b := range wantSpec {
+					wantSpec[b] = make([]complex128, pl.SpecLocalTotal())
+					wantOut[b] = make([]float64, pe.LocalTotal())
+					gotOut[b] = make([]float64, pe.LocalTotal())
+				}
+				mustNil(pl.ForwardBatchInto(srcs, wantSpec))
+				mustNil(pl.InverseBatchInto(wantSpec, wantOut))
+
+				spec := pl.Spectra(B)
+				mustNil(pl.ForwardBatchInto(srcs, spec))
+				for b := range spec {
+					for i := range spec[b] {
+						if spec[b][i] != wantSpec[b][i] {
+							t.Errorf("%s rank %d: field %d mode %d in the arena %v, in caller buffers %v", name, c.Rank(), b, i, spec[b][i], wantSpec[b][i])
+							return nil
+						}
+					}
+				}
+				mustNil(pl.InverseBatchInto(spec, gotOut))
+				mustNil(pl.ForwardInto(srcs[1], spec[0]))
+				one := make([]float64, pe.LocalTotal())
+				mustNil(pl.InverseInto(spec[0], one))
+				for b := range wantOut {
+					for i := range wantOut[b] {
+						if math.Float64bits(gotOut[b][i]) != math.Float64bits(wantOut[b][i]) {
+							t.Errorf("%s rank %d: field %d point %d: in-place inverse %v, copying inverse %v", name, c.Rank(), b, i, gotOut[b][i], wantOut[b][i])
+							return nil
+						}
+					}
+				}
+				for i := range one {
+					if math.Float64bits(one[i]) != math.Float64bits(wantOut[1][i]) {
+						t.Errorf("%s rank %d: single field point %d: %v, want %v", name, c.Rank(), i, one[i], wantOut[1][i])
+						return nil
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+}

@@ -81,6 +81,7 @@ type workspace struct {
 	stageMax   int            // max local elements at any pipeline stage
 	bufA, bufB [][]complex128 // per-field stage buffers, stageMax each
 	hdrA, hdrB [][]complex128 // reusable per-field slice headers
+	spec       [][]complex128 // bufA as spectral blocks (Spectra)
 	wire       transposer     // the transposes at the plan's wire format
 	line       []complex128   // per-chunk 1D line scratch slab
 	lineLen    int            // scratch complexes per chunk
@@ -221,6 +222,10 @@ func (pl *Plan) ensureBatch(b int) {
 		}
 	}
 	ws.hdrA = make([][]complex128, b)
+	ws.spec = make([][]complex128, b)
+	for i := range ws.spec {
+		ws.spec[i] = ws.bufA[i][:pl.SpecLocalTotal()]
+	}
 	if qCol > 1 {
 		ws.hdrB = make([][]complex128, b)
 	}
@@ -244,6 +249,18 @@ func (pl *Plan) ensureBatch(b int) {
 // usage error.
 func invariant(format string, args ...any) {
 	panic("pfft: internal invariant violated: " + fmt.Sprintf(format, args...))
+}
+
+// Spectra returns b spectral blocks that live in the plan's workspace
+// arena, in the stage buffers the transforms run through. A forward
+// transform may write into them and an inverse may read them in place,
+// which spares the caller b blocks of its own and the inverse its working
+// copy. Block i may be passed only as field i of a batch, and every
+// transform overwrites the blocks, so they hold a result until the next
+// transform on the plan.
+func (pl *Plan) Spectra(b int) [][]complex128 {
+	pl.ensureBatch(b)
+	return pl.ws.spec[:b:b]
 }
 
 // SpecDims returns the local dimensions of the spectral array.
@@ -472,9 +489,10 @@ func (pl *Plan) InverseBatch(specs [][]complex128) ([][]float64, error) {
 	return outs, nil
 }
 
-// InverseBatchInto is InverseBatch into caller-provided real pencils.
-// Mis-sized arguments are reported as errors before any communication
-// happens, so no rank is left blocked in a transpose.
+// InverseBatchInto is InverseBatch into caller-provided real pencils. The
+// spectra survive, except blocks of Spectra, which are transformed in
+// place. Mis-sized arguments are reported as errors before any
+// communication happens, so no rank is left blocked in a transpose.
 func (pl *Plan) InverseBatchInto(specs [][]complex128, outs [][]float64) error {
 	pe := pl.Pe
 	B := len(specs)
@@ -494,11 +512,14 @@ func (pl *Plan) InverseBatchInto(specs [][]complex128, outs [][]float64) error {
 	qRow, qCol := pe.Row.Size(), pe.Col.Size()
 	st := &pl.st
 
-	// Work on a copy so the caller's spectrum survives.
+	// Work on a copy so the caller's spectrum survives; a block of Spectra
+	// is already in place.
 	total := pl.SpecLocalTotal()
 	for b := 0; b < B; b++ {
 		pl.ws.hdrA[b] = pl.ws.bufA[b][:total]
-		copy(pl.ws.hdrA[b], specs[b])
+		if &specs[b][0] != &pl.ws.bufA[b][0] {
+			copy(pl.ws.hdrA[b], specs[b])
+		}
 	}
 	cur := pl.ws.hdrA[:B]
 	dims := pl.specDim
@@ -573,10 +594,13 @@ type wire[W complex128 | float32] struct {
 // communicators (size 1) entirely — the shares are the whole axes, so the
 // block is already in its destination layout.
 //
-// The mpi envelope (length + checksum) guards the bytes in flight; on top
-// of that the decode validates the framing per source — exactly
-// width·B·blkTot wire elements — and raises a typed *mpi.CommError on a
-// ragged payload rather than decoding a garbage trailing element.
+// The mpi envelope (length + checksum) guards the bytes in flight: an
+// injected fault attaches it, so a truncated or corrupted payload raises a
+// typed *mpi.CommError in mpi's receive, before the decode. What arrives is
+// therefore what the source packed, and the source sized each block with
+// the same Share arithmetic over the same dims and batch; a payload from
+// source r of other than width·B·blkTot wire elements is a bug in the
+// schedule, not a fault any input or injection reaches.
 func (w *wire[W]) transpose(pl *Plan, c *mpi.Comm, src, dst [][]complex128, dims [3]int, u, s, gu int) [3]int {
 	q := c.Size()
 	B := len(src)
@@ -620,12 +644,7 @@ func (w *wire[W]) transpose(pl *Plan, c *mpi.Comm, src, dst [][]complex128, dims
 		off[u] = loU
 		n := w.width * blk[0] * blk[1] * blk[2]
 		if len(recv[r]) != B*n {
-			mpi.Raise(&mpi.CommError{
-				Rank:   c.Rank(),
-				Phase:  mpi.PhaseFFTComm,
-				Op:     "alltoallv",
-				Detail: fmt.Sprintf("transpose payload from source %d: %d wire elements, want %d (%d per coefficient, B=%d, block %v)", r, len(recv[r]), B*n, w.width, B, blk),
-			})
+			invariant("transpose payload from source %d: %d wire elements, want %d (%d per coefficient, B=%d, block %v)", r, len(recv[r]), B*n, w.width, B, blk)
 		}
 		for b := 0; b < B; b++ {
 			w.unpack(dst[b], newDims, off, blk, recv[r][b*n:(b+1)*n])

@@ -119,9 +119,9 @@ func TestNarrowForwardMatchesSerial(t *testing.T) {
 
 // TestNarrowWireTruncateRaisesCommError injects a truncation fault into a
 // narrow-format transpose send. The fault layer cuts []float32 payloads to
-// an odd element count — severing one (re, im) wire pair mid-element — so
-// this exercises both the envelope length check and the decoder's
-// ragged-tail validation behind it.
+// an odd element count — severing one (re, im) wire pair mid-element — and
+// mpi's receive raises the *mpi.CommError on the envelope's length check,
+// before the transpose decodes the payload.
 func TestNarrowWireTruncateRaisesCommError(t *testing.T) {
 	g := grid.MustNew(16, 16, 16)
 	fp := mpi.NewFaultPlan(11).Add(mpi.FaultSite{

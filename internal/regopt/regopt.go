@@ -459,17 +459,3 @@ func (p *Problem) ApplyPrec(r *field.Vector) *field.Vector {
 		return 1 / (beta*a + sigma)
 	})
 }
-
-// Residual returns the pointwise misfit |rho(1) - rho_R| of an evaluation.
-func (p *Problem) Residual(e *Eval) *field.Scalar {
-	out := field.NewScalar(p.Pe)
-	last := e.States[p.Opt.Nt]
-	for i := range out.Data {
-		d := last[i] - p.RhoR.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		out.Data[i] = d
-	}
-	return out
-}

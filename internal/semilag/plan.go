@@ -83,25 +83,25 @@ type Plan struct {
 	// plan, for the performance model.
 	Evals int64
 
-	// ws is the build and gather scratch: the planner's, shared by every
-	// plan it builds, or the plan's own for a plan built by NewPlanPrec.
+	// ws is the build and gather scratch and the outputs: the planner's,
+	// shared by every plan it builds, or the plan's own for a plan built
+	// by NewPlanPrec.
 	ws *workspace
-
-	// outsScr holds the plan-owned outputs InterpMany returns.
-	outsScr [][]float64
 }
 
 // workspace is the scratch of the scatter and of the hot interpolation
 // path: grown lazily and reused across calls and across the plans that
 // share it, so warmed-up plans build and interpolate without heap
 // allocation (receive buffers excepted — the MPI layer hands those back).
-// Nothing in it outlives the call that fills it, so any number of plans
-// driven by one rank goroutine can share one.
+// Nothing in it but the outputs outlives the call that fills it, and those
+// only until the next call, so any number of plans driven by one rank
+// goroutine can share one.
 type workspace struct {
 	build buildScratch
 	f64   gatherScratch[float64]
 	f32   gatherScratch[float32]
-	grows int // builds that found build released or never grown
+	outs  [][]float64 // the outputs InterpMany returns
+	grows int         // builds that found build released or never grown
 }
 
 // gatherScratch is the interpolation half of a workspace at one precision:
@@ -264,12 +264,17 @@ func (s *sweepState[T]) gather(lo, hi int) {
 	}
 }
 
-// outsFor returns nf plan-owned output buffers of NQ elements each.
+// outsFor returns nf output buffers of NQ elements each from the plan's
+// workspace.
 func (pl *Plan) outsFor(nf int) [][]float64 {
-	for len(pl.outsScr) < nf {
-		pl.outsScr = append(pl.outsScr, make([]float64, pl.NQ))
+	ws := pl.ws
+	for len(ws.outs) < nf {
+		ws.outs = append(ws.outs, nil)
 	}
-	return pl.outsScr[:nf]
+	for i := range ws.outs[:nf] {
+		ws.outs[i] = grow(ws.outs[i], pl.NQ)
+	}
+	return ws.outs[:nf]
 }
 
 // NewPlanPrec builds a plan for the given query points, expressed in
@@ -285,13 +290,13 @@ func NewPlanPrec(pe *grid.Pencil, pts [3][]float64, pr prec.Precision) *Plan {
 	return pl
 }
 
-// release drops the plan's query points: its index and stencil arrays and
-// its outputs. The plan is unusable until the next Reset.
+// release drops the plan's query points: its index and stencil arrays.
+// The plan is unusable until the next Reset.
 func (pl *Plan) release() {
 	for r := range pl.sendIdx {
 		pl.sendIdx[r], pl.recvPts[r], pl.cells[r], pl.origIdx[r] = nil, nil, nil, nil
 	}
-	pl.NQ, pl.outsScr = 0, nil
+	pl.NQ = 0
 }
 
 // newPlan returns a plan with no query points yet.
@@ -305,10 +310,10 @@ func newPlan(pe *grid.Pencil, pr prec.Precision, ws *workspace) *Plan {
 }
 
 // Reset rebuilds the plan in place for a new set of query points, as if
-// freshly built at the plan's precision (counters restart at zero; slices
-// returned by earlier InterpMany calls are invalidated). The index arrays
-// and all scratch are reused, so a plan that lives for one gather per
-// velocity — the RK2 star plan — stops allocating in steady state.
+// freshly built at the plan's precision (counters restart at zero). The
+// index arrays and all scratch are reused, so a plan that lives for one
+// gather per velocity — the RK2 star plan — stops allocating in steady
+// state.
 // Collective, like NewPlanPrec.
 //
 // The scatter phase of Algorithm 1 runs in O(NQ + padded cells): a counting
@@ -324,9 +329,6 @@ func (pl *Plan) Reset(pts [3][]float64) {
 	p := pe.Comm.Size()
 	nq := len(pts[0])
 	n := pe.Grid.N
-	if nq != pl.NQ {
-		pl.outsScr = nil
-	}
 	pl.NQ, pl.OffRank, pl.Evals = nq, 0, 0
 
 	scr.own1 = grow(scr.own1, n[0])
@@ -475,9 +477,10 @@ func wrapCoord(x float64, n int) float64 {
 // are ordered like the original query points. All fields share one value
 // return exchange; each field needs its own halo update.
 //
-// The returned slices are plan-owned scratch, valid until the next
-// Interp/InterpMany call on this plan: callers that keep results across
-// calls must copy them.
+// The returned slices are scratch of the plan's workspace, valid until the
+// next Interp/InterpMany call on this plan or on any plan built by the same
+// Planner, which share it: callers that keep results across calls must
+// copy them.
 func (pl *Plan) InterpMany(fields ...[]float64) [][]float64 {
 	if pl.precision == prec.F32 {
 		return interpMany(pl, &pl.ws.f32, fields)
@@ -530,8 +533,8 @@ func interpMany[T interp.Float](pl *Plan, g *gatherScratch[T], fields [][]float6
 }
 
 // Interp interpolates a single scalar field at the plan's query points.
-// Like InterpMany, the returned slice is plan-owned scratch, valid until
-// the next Interp/InterpMany call on this plan.
+// Like InterpMany's, the returned slice is workspace scratch, valid until
+// the next Interp/InterpMany call on a plan that shares the workspace.
 func (pl *Plan) Interp(f []float64) []float64 { return pl.InterpMany(f)[0] }
 
 // Planner is the paper's "interpolation planner" for one rank: it traces
@@ -546,7 +549,8 @@ func (pl *Plan) Interp(f []float64) []float64 { return pl.InterpMany(f)[0] }
 // Only the gather scratch is read between builds. The rest — coordinates,
 // star plan, build scratch, about 130 bytes per point — is kept across the
 // builds of a burst (the 2–3 of a Newton step) and dropped by ReleaseBuild
-// once the burst is over. A Planner belongs to one rank goroutine.
+// once the burst is over, with the gather scratch of all but one field. A
+// Planner belongs to one rank goroutine.
 type Planner struct {
 	ws   workspace
 	star *Plan
@@ -562,22 +566,42 @@ func NewPlanner(pe *grid.Pencil, pr prec.Precision) *Planner {
 }
 
 // ReleaseBuild drops everything the planner keeps only for building
-// plans: the coordinate arrays, the star plan's arrays and outputs, and the
-// build scratch. The gather scratch every plan's sweeps read stays, and so
-// do the plans already built. The next build grows what it needs afresh.
+// plans: the coordinate arrays, the star plan's arrays, the build scratch,
+// and the gather scratch and outputs beyond one field — what the star
+// plan's three-field gather grew. The plans already built stay, and so
+// does what their one-field sweeps use: one padded field, the halo block
+// and one output; the value buffers regrow at one field's size on the
+// next sweep. The next build grows what it needs afresh.
 func (pn *Planner) ReleaseBuild() {
 	pn.pts = [3][]float64{}
 	pn.star.release()
 	pn.ws.build = buildScratch{}
+	pn.ws.f64.trim()
+	pn.ws.f32.trim()
+	if len(pn.ws.outs) > 1 {
+		clear(pn.ws.outs[1:])
+		pn.ws.outs = pn.ws.outs[:1]
+	}
+}
+
+// trim keeps the gather scratch of a one-field call: the first padded
+// field and the halo block. The value buffers go, since their size is
+// that of the widest call since they grew.
+func (g *gatherScratch[T]) trim() {
+	if len(g.pads) > 1 {
+		clear(g.pads[1:])
+		g.pads = g.pads[:1]
+	}
+	clear(g.vals)
 }
 
 // Held is what a planner holds, in bytes by who reads it, and how often its
 // build scratch has been grown.
 type Held struct {
 	Coords int64 // departure coordinates
-	Star   int64 // the star plan's index and stencil arrays and outputs
+	Star   int64 // the star plan's index and stencil arrays
 	Build  int64 // owner tables, payloads, unsorted cells, histogram
-	Gather int64 // padded fields, halo block, value buffers
+	Gather int64 // padded fields, halo block, value buffers, outputs
 	Grows  int   // builds that started from released (or never grown) scratch
 }
 
@@ -588,10 +612,10 @@ func (pn *Planner) Held() Held {
 	return Held{
 		Coords: bytesOf(pn.pts[:]...),
 		Star: bytesOf(st.sendIdx...) + bytesOf(st.recvPts...) + bytesOf(st.cells...) +
-			bytesOf(st.origIdx...) + bytesOf(st.outsScr...),
+			bytesOf(st.origIdx...),
 		Build: bytesOf(b.own1, b.own2, b.owner, b.cells, b.hist) + bytesOf(b.fill) +
 			bytesOf(b.sendPts...),
-		Gather: pn.ws.f64.bytes() + pn.ws.f32.bytes(),
+		Gather: pn.ws.f64.bytes() + pn.ws.f32.bytes() + bytesOf(pn.ws.outs...),
 		Grows:  pn.ws.grows,
 	}
 }

@@ -7,14 +7,15 @@
 // spectral accuracy and invertible at the cost of a diagonal scaling
 // (§III-B1 of the paper).
 //
-// The hot operators run on precomputed per-mode symbol tables laid out in
-// the plan's local spectral order (raw and Nyquist-filtered wavenumbers,
-// |k|^2, the cubic B-spline sampling symbol, the grid-scale Gaussian), so
-// a diagonal application is a straight slice loop with no wavenumber
-// re-derivation. Vector operators carry all three components through the
-// batched pencil transforms — one all-to-all per transpose stage for the
-// whole field — and the *InPlace/*Into variants reuse plan and operator
-// workspaces so steady-state applications allocate nothing.
+// The hot operators form each mode's symbol from per-axis wavenumber
+// vectors laid out along the plan's local spectral block (raw and
+// Nyquist-filtered wavenumbers), so a diagonal application is a loop over
+// runs of modes that share (k1, k2) with no full-length symbol table and
+// no wavenumber re-derivation. Vector operators carry all three components
+// through the batched pencil transforms — one all-to-all per transpose
+// stage for the whole field — in spectral blocks that live in the plan's
+// own stage buffers (pfft.Plan.Spectra), so steady-state applications
+// allocate nothing and hold no spectra of their own.
 package spectral
 
 import (
@@ -38,28 +39,32 @@ func must(err error) {
 	}
 }
 
-// Ops bundles the FFT plan with the operator implementations, the symbol
-// tables, and the reusable spectral workspace. An Ops value is owned by one
-// rank goroutine (like its Plan) and must not be shared concurrently.
+// Ops bundles the FFT plan with the operator implementations and the
+// per-axis wavenumbers the symbols are formed from. An Ops value is owned
+// by one rank goroutine (like its Plan) and must not be shared
+// concurrently.
 type Ops struct {
 	Plan *pfft.Plan
 	Pe   *grid.Pencil
 
-	// Symbol tables in local spectral layout, one entry per mode.
-	kw   [3][]float64 // raw signed wavenumbers as floats
-	kf   [3][]float64 // Nyquist-filtered wavenumbers (derivative symbols)
-	ksqT []float64    // float64(k1^2+k2^2+k3^2), raw (Laplacian family)
-	ksqF []float64    // kf1^2+kf2^2+kf3^2, filtered (Leray / grad-div)
-	bsp  []float64    // cubic B-spline sampling symbol product (lazy)
-	gaus []float64    // Gaussian symbol at sigma = grid spacing (lazy)
+	// Per-axis wavenumbers of the local spectral block: mode (i1, i2, i3)
+	// has raw wavenumbers (kw[0][i1], kw[1][i2], kw[2][i3]) and derivative
+	// symbols kf[d][i_d], the raw ones with the Nyquist mode of an even
+	// dimension filtered to 0. All are exact integers, so |k|^2 formed from
+	// them equals the integer expression.
+	kw   [3][]float64
+	kf   [3][]float64
+	dims [3]int // local spectral dims (the lengths of kw[d], kf[d])
 
-	// Workspace: three component spectra plus one scalar spectrum.
-	spec [3][]complex128
-	scal []complex128
+	bsp  []float64 // cubic B-spline sampling symbol product (lazy)
+	gaus []float64 // Gaussian symbol at sigma = grid spacing (lazy)
+
+	// The three spectral blocks the operators work in: the plan's stage
+	// buffers (pfft.Plan.Spectra). A scalar operator works in spec[0].
+	spec [][]complex128
 
 	// Reusable batch headers for the plan's *BatchInto entry points.
 	hdrR [3][]float64
-	hdrC [3][]complex128
 
 	// Prebuilt pool kernels over the mode range [lo, hi); retained on the
 	// Ops so hot operators spawn no closures.
@@ -72,116 +77,160 @@ type Ops struct {
 	fnInvBih  func(c, lo, hi int)
 }
 
-// New builds the operator set for a pencil decomposition, precomputing the
-// wavenumber and |k|^2 tables at the plan's local spectral layout.
+// New builds the operator set for a pencil decomposition: the per-axis
+// wavenumbers of the plan's local spectral block and the plan's spectral
+// blocks.
 func New(plan *pfft.Plan) *Ops {
-	o := &Ops{Plan: plan, Pe: plan.Pe}
+	o := &Ops{Plan: plan, Pe: plan.Pe, dims: plan.SpecDims()}
 	n := o.Pe.Grid.N
-	total := plan.SpecLocalTotal()
-	for d := 0; d < 3; d++ {
-		o.kw[d] = make([]float64, total)
-		o.kf[d] = make([]float64, total)
-		o.spec[d] = make([]complex128, total)
+	for d := range o.kw {
+		o.kw[d] = make([]float64, o.dims[d])
+		o.kf[d] = make([]float64, o.dims[d])
 	}
-	o.ksqT = make([]float64, total)
-	o.ksqF = make([]float64, total)
-	o.scal = make([]complex128, total)
 	plan.EachSpec(func(idx, k1, k2, k3 int) {
-		o.kw[0][idx] = float64(k1)
-		o.kw[1][idx] = float64(k2)
-		o.kw[2][idx] = float64(k3)
-		o.kf[0][idx] = kfilt(k1, n[0])
-		o.kf[1][idx] = kfilt(k2, n[1])
-		o.kf[2][idx] = kfilt(k3, n[2])
-		o.ksqT[idx] = ksq(k1, k2, k3)
-		kk := [3]float64{o.kf[0][idx], o.kf[1][idx], o.kf[2][idx]}
-		o.ksqF[idx] = kk[0]*kk[0] + kk[1]*kk[1] + kk[2]*kk[2]
+		var i [3]int
+		i[0], i[1], i[2] = o.modeOf(idx)
+		for d, k := range [3]int{k1, k2, k3} {
+			o.kw[d][i[d]] = float64(k)
+			o.kf[d][i[d]] = kfilt(k, n[d])
+		}
 	})
+	o.spec = plan.Spectra(3)
 	o.buildKernels()
 	return o
 }
 
+// modeOf returns the local spectral coordinates of flat mode index idx.
+func (o *Ops) modeOf(idx int) (i1, i2, i3 int) {
+	row := idx / o.dims[2]
+	return row / o.dims[1], row % o.dims[1], idx % o.dims[2]
+}
+
+// modeRuns walks a mode range in runs of consecutive modes that share
+// (i1, i2): flat indices [start, end), the first at i3.
+type modeRuns struct {
+	o                      *Ops
+	pos, hi                int
+	start, end, i1, i2, i3 int
+}
+
+// runs returns the walk of the mode range [lo, hi).
+func (o *Ops) runs(lo, hi int) modeRuns { return modeRuns{o: o, pos: lo, hi: hi} }
+
+// next advances to the following run and reports whether there is one.
+func (r *modeRuns) next() bool {
+	if r.pos >= r.hi {
+		return false
+	}
+	r.start = r.pos
+	r.i1, r.i2, r.i3 = r.o.modeOf(r.start)
+	r.end = min(r.hi, r.start-r.i3+r.o.dims[2])
+	r.pos = r.end
+	return true
+}
+
 // Precision returns the hot-path precision of the underlying transform
-// plan; the symbol tables themselves always stay float64.
+// plan; the symbols themselves always stay float64.
 func (o *Ops) Precision() prec.Precision { return o.Plan.Precision() }
 
-// buildKernels constructs the retained table-driven pool kernels. Each
-// preserves the floating-point expression of the closure it replaces
-// exactly, so results stay bit-identical to the unbatched operators.
+// buildKernels constructs the retained pool kernels. Each forms its
+// symbols from the per-axis wavenumbers with the floating-point expression
+// of the full-length tables it replaces, so results stay bit-identical:
+// the raw |k|^2 is an exact integer in any order, and the filtered one
+// keeps kf0*kf0 + kf1*kf1 + kf2*kf2.
 func (o *Ops) buildKernels() {
+	kw0, kw1, kw2 := o.kw[0], o.kw[1], o.kw[2]
+	kf0, kf1, kf2 := o.kf[0], o.kf[1], o.kf[2]
+	s0, s1, s2 := o.spec[0], o.spec[1], o.spec[2]
+	// The gradient's input is s0: each mode reads it before writing it.
 	o.fnGrad = func(c, lo, hi int) {
-		src := o.scal
-		for idx := lo; idx < hi; idx++ {
-			v := src[idx]
-			o.spec[0][idx] = v * complex(0, o.kf[0][idx])
-			o.spec[1][idx] = v * complex(0, o.kf[1][idx])
-			o.spec[2][idx] = v * complex(0, o.kf[2][idx])
+		for r := o.runs(lo, hi); r.next(); {
+			c0, c1 := complex(0, kf0[r.i1]), complex(0, kf1[r.i2])
+			for idx, i3 := r.start, r.i3; idx < r.end; idx, i3 = idx+1, i3+1 {
+				v := s0[idx]
+				s0[idx] = v * c0
+				s1[idx] = v * c1
+				s2[idx] = v * complex(0, kf2[i3])
+			}
 		}
 	}
 	o.fnDiv = func(c, lo, hi int) {
-		s0, s1, s2 := o.spec[0], o.spec[1], o.spec[2]
-		for idx := lo; idx < hi; idx++ {
-			t0 := s0[idx] * complex(0, o.kf[0][idx])
-			t1 := s1[idx] * complex(0, o.kf[1][idx])
-			t2 := s2[idx] * complex(0, o.kf[2][idx])
-			s0[idx] = t0 + t1 + t2
+		for r := o.runs(lo, hi); r.next(); {
+			c0, c1 := complex(0, kf0[r.i1]), complex(0, kf1[r.i2])
+			for idx, i3 := r.start, r.i3; idx < r.end; idx, i3 = idx+1, i3+1 {
+				t0 := s0[idx] * c0
+				t1 := s1[idx] * c1
+				t2 := s2[idx] * complex(0, kf2[i3])
+				s0[idx] = t0 + t1 + t2
+			}
 		}
 	}
 	o.fnLeray = func(c, lo, hi int) {
-		s0, s1, s2 := o.spec[0], o.spec[1], o.spec[2]
-		for idx := lo; idx < hi; idx++ {
-			q := o.ksqF[idx]
-			if q == 0 {
-				continue
+		for r := o.runs(lo, hi); r.next(); {
+			k0, k1 := kf0[r.i1], kf1[r.i2]
+			q01 := k0*k0 + k1*k1
+			for idx, i3 := r.start, r.i3; idx < r.end; idx, i3 = idx+1, i3+1 {
+				k2 := kf2[i3]
+				q := q01 + k2*k2
+				if q == 0 {
+					continue
+				}
+				dot := complex(k0, 0)*s0[idx] + complex(k1, 0)*s1[idx] + complex(k2, 0)*s2[idx]
+				s0[idx] -= complex(k0/q, 0) * dot
+				s1[idx] -= complex(k1/q, 0) * dot
+				s2[idx] -= complex(k2/q, 0) * dot
 			}
-			k0, k1, k2 := o.kf[0][idx], o.kf[1][idx], o.kf[2][idx]
-			dot := complex(k0, 0)*s0[idx] + complex(k1, 0)*s1[idx] + complex(k2, 0)*s2[idx]
-			s0[idx] -= complex(k0/q, 0) * dot
-			s1[idx] -= complex(k1/q, 0) * dot
-			s2[idx] -= complex(k2/q, 0) * dot
 		}
 	}
 	o.fnGradDiv = func(c, lo, hi int) {
-		s0, s1, s2 := o.spec[0], o.spec[1], o.spec[2]
-		for idx := lo; idx < hi; idx++ {
-			k0, k1, k2 := o.kf[0][idx], o.kf[1][idx], o.kf[2][idx]
-			dot := complex(k0, 0)*s0[idx] + complex(k1, 0)*s1[idx] + complex(k2, 0)*s2[idx]
-			// grad(div) has symbol (ik_d)(ik_e) = -k_d k_e.
-			s0[idx] = -complex(k0, 0) * dot
-			s1[idx] = -complex(k1, 0) * dot
-			s2[idx] = -complex(k2, 0) * dot
+		for r := o.runs(lo, hi); r.next(); {
+			k0, k1 := kf0[r.i1], kf1[r.i2]
+			for idx, i3 := r.start, r.i3; idx < r.end; idx, i3 = idx+1, i3+1 {
+				k2 := kf2[i3]
+				dot := complex(k0, 0)*s0[idx] + complex(k1, 0)*s1[idx] + complex(k2, 0)*s2[idx]
+				// grad(div) has symbol (ik_d)(ik_e) = -k_d k_e.
+				s0[idx] = -complex(k0, 0) * dot
+				s1[idx] = -complex(k1, 0) * dot
+				s2[idx] = -complex(k2, 0) * dot
+			}
 		}
 	}
 	o.fnVecLap = func(c, lo, hi int) {
-		s0, s1, s2 := o.spec[0], o.spec[1], o.spec[2]
-		for idx := lo; idx < hi; idx++ {
-			f := complex(-o.ksqT[idx], 0)
-			s0[idx] *= f
-			s1[idx] *= f
-			s2[idx] *= f
+		for r := o.runs(lo, hi); r.next(); {
+			q01 := kw0[r.i1]*kw0[r.i1] + kw1[r.i2]*kw1[r.i2]
+			for idx, i3 := r.start, r.i3; idx < r.end; idx, i3 = idx+1, i3+1 {
+				f := complex(-(q01 + kw2[i3]*kw2[i3]), 0)
+				s0[idx] *= f
+				s1[idx] *= f
+				s2[idx] *= f
+			}
 		}
 	}
 	o.fnBiharm = func(c, lo, hi int) {
-		s0, s1, s2 := o.spec[0], o.spec[1], o.spec[2]
-		for idx := lo; idx < hi; idx++ {
-			q := o.ksqT[idx]
-			f := complex(q*q, 0)
-			s0[idx] *= f
-			s1[idx] *= f
-			s2[idx] *= f
+		for r := o.runs(lo, hi); r.next(); {
+			q01 := kw0[r.i1]*kw0[r.i1] + kw1[r.i2]*kw1[r.i2]
+			for idx, i3 := r.start, r.i3; idx < r.end; idx, i3 = idx+1, i3+1 {
+				q := q01 + kw2[i3]*kw2[i3]
+				f := complex(q*q, 0)
+				s0[idx] *= f
+				s1[idx] *= f
+				s2[idx] *= f
+			}
 		}
 	}
 	o.fnInvBih = func(c, lo, hi int) {
-		s0, s1, s2 := o.spec[0], o.spec[1], o.spec[2]
-		for idx := lo; idx < hi; idx++ {
-			q := o.ksqT[idx]
-			var f complex128
-			if q != 0 {
-				f = complex(1/(q*q), 0)
+		for r := o.runs(lo, hi); r.next(); {
+			q01 := kw0[r.i1]*kw0[r.i1] + kw1[r.i2]*kw1[r.i2]
+			for idx, i3 := r.start, r.i3; idx < r.end; idx, i3 = idx+1, i3+1 {
+				q := q01 + kw2[i3]*kw2[i3]
+				var f complex128
+				if q != 0 {
+					f = complex(1/(q*q), 0)
+				}
+				s0[idx] *= f
+				s1[idx] *= f
+				s2[idx] *= f
 			}
-			s0[idx] *= f
-			s1[idx] *= f
-			s2[idx] *= f
 		}
 	}
 }
@@ -191,33 +240,21 @@ func (o *Ops) buildKernels() {
 func (o *Ops) forwardVec(v *field.Vector) {
 	for d := 0; d < 3; d++ {
 		o.hdrR[d] = v.C[d].Data
-		o.hdrC[d] = o.spec[d]
 	}
-	must(o.Plan.ForwardBatchInto(o.hdrR[:], o.hdrC[:]))
+	must(o.Plan.ForwardBatchInto(o.hdrR[:], o.spec))
 }
 
 // inverseVec transforms the spec workspace back into the components of dst.
 func (o *Ops) inverseVec(dst *field.Vector) {
 	for d := 0; d < 3; d++ {
-		o.hdrC[d] = o.spec[d]
 		o.hdrR[d] = dst.C[d].Data
 	}
-	must(o.Plan.InverseBatchInto(o.hdrC[:], o.hdrR[:]))
+	must(o.Plan.InverseBatchInto(o.spec, o.hdrR[:]))
 }
 
 // modes runs a retained kernel over the local mode range on the pool.
 func (o *Ops) modes(fn func(c, lo, hi int)) {
 	par.ForChunks(o.Plan.SpecLocalTotal(), par.DefaultGrain, fn)
-}
-
-// nyquistZero returns 0 for the Nyquist wavenumber of an even-length
-// dimension and ik otherwise; first derivatives must drop the Nyquist mode
-// to stay real and skew-symmetric.
-func derivFactor(k, n int) complex128 {
-	if 2*k == n {
-		return 0
-	}
-	return complex(0, float64(k))
 }
 
 // Forward transforms a scalar field to its local spectral block.
@@ -237,8 +274,8 @@ func (o *Ops) InverseInto(spec []complex128, dst *field.Scalar) {
 // DiagScalar applies the real diagonal symbol f(k1,k2,k3) to a scalar
 // field, returning a new field.
 func (o *Ops) DiagScalar(s *field.Scalar, f func(k1, k2, k3 int) float64) *field.Scalar {
-	must(o.Plan.ForwardInto(s.Data, o.scal))
-	spec := o.scal
+	spec := o.spec[0]
+	must(o.Plan.ForwardInto(s.Data, spec))
 	o.Plan.EachSpecPar(func(idx, k1, k2, k3 int) {
 		spec[idx] *= complex(f(k1, k2, k3), 0)
 	})
@@ -264,19 +301,6 @@ func (o *Ops) DiagVector(v *field.Vector, f func(k1, k2, k3 int) float64) *field
 	return out
 }
 
-// DiagVectorInPlace is DiagVector writing back into v.
-func (o *Ops) DiagVectorInPlace(v *field.Vector, f func(k1, k2, k3 int) float64) {
-	o.forwardVec(v)
-	s0, s1, s2 := o.spec[0], o.spec[1], o.spec[2]
-	o.Plan.EachSpecPar(func(idx, k1, k2, k3 int) {
-		cf := complex(f(k1, k2, k3), 0)
-		s0[idx] *= cf
-		s1[idx] *= cf
-		s2[idx] *= cf
-	})
-	o.inverseVec(v)
-}
-
 // Grad returns the spectral gradient of a scalar field. One forward
 // transform is shared by the three component derivatives — the
 // "optimization for the grad operator" the paper describes — and the three
@@ -290,7 +314,7 @@ func (o *Ops) Grad(s *field.Scalar) *field.Vector {
 // GradInto is Grad writing into a caller-provided vector field; it performs
 // zero heap allocations after workspace warmup.
 func (o *Ops) GradInto(s *field.Scalar, out *field.Vector) {
-	must(o.Plan.ForwardInto(s.Data, o.scal))
+	must(o.Plan.ForwardInto(s.Data, o.spec[0]))
 	o.modes(o.fnGrad)
 	o.inverseVec(out)
 }
@@ -312,36 +336,18 @@ func (o *Ops) DivInto(v *field.Vector, out *field.Scalar) {
 
 // Lap returns the Laplacian of a scalar field (symbol -|k|^2).
 func (o *Ops) Lap(s *field.Scalar) *field.Scalar {
-	must(o.Plan.ForwardInto(s.Data, o.scal))
-	spec, tab := o.scal, o.ksqT
-	par.For(len(spec), func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			spec[idx] *= complex(-tab[idx], 0)
-		}
-	})
-	out := field.NewScalar(o.Pe)
-	must(o.Plan.InverseInto(spec, out.Data))
-	return out
+	return o.DiagScalar(s, func(k1, k2, k3 int) float64 { return -ksq(k1, k2, k3) })
 }
 
 // InvLap returns the zero-mean solution of lap(u) = s; the k=0 mode is
 // projected out (the standard pseudo-inverse on the torus).
 func (o *Ops) InvLap(s *field.Scalar) *field.Scalar {
-	must(o.Plan.ForwardInto(s.Data, o.scal))
-	spec, tab := o.scal, o.ksqT
-	par.For(len(spec), func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			q := tab[idx]
-			var f float64
-			if q != 0 {
-				f = -1 / q
-			}
-			spec[idx] *= complex(f, 0)
+	return o.DiagScalar(s, func(k1, k2, k3 int) float64 {
+		if q := ksq(k1, k2, k3); q != 0 {
+			return -1 / q
 		}
+		return 0
 	})
-	out := field.NewScalar(o.Pe)
-	must(o.Plan.InverseInto(spec, out.Data))
-	return out
 }
 
 // VecLap applies the Laplacian componentwise to a vector field.
@@ -438,25 +444,6 @@ func (o *Ops) GradDivInPlace(v *field.Vector) {
 	o.inverseVec(v)
 }
 
-// GaussianSmooth convolves the scalar field in place with a periodic
-// Gaussian of standard deviation sigma[d] in dimension d. The paper uses
-// sigma equal to one grid cell (bandwidth 2*pi/N) to make raw images
-// spectrally differentiable.
-func (o *Ops) GaussianSmooth(s *field.Scalar, sigma [3]float64) {
-	must(o.Plan.ForwardInto(s.Data, o.scal))
-	spec := o.scal
-	k0, k1, k2 := o.kw[0], o.kw[1], o.kw[2]
-	par.For(len(spec), func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			// kw[d]^2 equals float64(k_d*k_d) exactly (both are exact
-			// integers below 2^53), so this matches the closure form.
-			e := k0[idx]*k0[idx]*sigma[0]*sigma[0] + k1[idx]*k1[idx]*sigma[1]*sigma[1] + k2[idx]*k2[idx]*sigma[2]*sigma[2]
-			spec[idx] *= complex(math.Exp(-e/2), 0)
-		}
-	})
-	must(o.Plan.InverseInto(spec, s.Data))
-}
-
 // SmoothGridScale smooths with the paper's default bandwidth of one grid
 // spacing in each dimension, using a lazily built symbol table so repeated
 // smoothing (grid continuation, image preprocessing) skips the exponentials.
@@ -466,13 +453,17 @@ func (o *Ops) SmoothGridScale(s *field.Scalar) {
 		sigma := [3]float64{g.Spacing(0), g.Spacing(1), g.Spacing(2)}
 		o.gaus = make([]float64, o.Plan.SpecLocalTotal())
 		k0, k1, k2 := o.kw[0], o.kw[1], o.kw[2]
-		for idx := range o.gaus {
-			e := k0[idx]*k0[idx]*sigma[0]*sigma[0] + k1[idx]*k1[idx]*sigma[1]*sigma[1] + k2[idx]*k2[idx]*sigma[2]*sigma[2]
-			o.gaus[idx] = math.Exp(-e / 2)
+		for r := o.runs(0, len(o.gaus)); r.next(); {
+			a, b := k0[r.i1], k1[r.i2]
+			for idx, i3 := r.start, r.i3; idx < r.end; idx, i3 = idx+1, i3+1 {
+				c := k2[i3]
+				e := a*a*sigma[0]*sigma[0] + b*b*sigma[1]*sigma[1] + c*c*sigma[2]*sigma[2]
+				o.gaus[idx] = math.Exp(-e / 2)
+			}
 		}
 	}
-	must(o.Plan.ForwardInto(s.Data, o.scal))
-	spec, tab := o.scal, o.gaus
+	spec, tab := o.spec[0], o.gaus
+	must(o.Plan.ForwardInto(s.Data, spec))
 	par.For(len(spec), func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			spec[idx] *= complex(tab[idx], 0)
@@ -486,7 +477,8 @@ func ksq(k1, k2, k3 int) float64 {
 }
 
 // kfilt returns the wavenumber as a float with the Nyquist mode of
-// even-length dimensions removed, mirroring derivFactor.
+// even-length dimensions removed: first derivatives must drop it to stay
+// real and skew-symmetric.
 func kfilt(k, n int) float64 {
 	if 2*k == n {
 		return 0
@@ -499,8 +491,8 @@ func kfilt(k, n int) float64 {
 // prolongation when finer) without any gather: the shared Fourier modes
 // are routed directly to their destination owners.
 func Resample(src, dst *Ops, s *field.Scalar) *field.Scalar {
-	must(src.Plan.ForwardInto(s.Data, src.scal))
-	moved := pfft.TransferSpectrum(src.Plan, dst.Plan, src.scal)
+	must(src.Plan.ForwardInto(s.Data, src.spec[0]))
+	moved := pfft.TransferSpectrum(src.Plan, dst.Plan, src.spec[0])
 	out := field.NewScalar(dst.Pe)
 	must(dst.Plan.InverseInto(moved, out.Data))
 	return out
@@ -511,16 +503,12 @@ func Resample(src, dst *Ops, s *field.Scalar) *field.Scalar {
 // inverse, so the collective latency is paid once for the whole field.
 func ResampleVector(src, dst *Ops, v *field.Vector) *field.Vector {
 	src.forwardVec(v)
-	for d := 0; d < 3; d++ {
-		src.hdrC[d] = src.spec[d]
-	}
-	moved := pfft.TransferSpectrumBatch(src.Plan, dst.Plan, src.hdrC[:])
+	moved := pfft.TransferSpectrumBatch(src.Plan, dst.Plan, src.spec)
 	out := field.NewVector(dst.Pe)
 	for d := 0; d < 3; d++ {
-		dst.hdrC[d] = moved[d]
 		dst.hdrR[d] = out.C[d].Data
 	}
-	must(dst.Plan.InverseBatchInto(dst.hdrC[:], dst.hdrR[:]))
+	must(dst.Plan.InverseBatchInto(moved, dst.hdrR[:]))
 	return out
 }
 
@@ -536,8 +524,8 @@ func (o *Ops) BSplinePrefilter(s *field.Scalar) {
 			o.bsp[idx] = interp.BSplineSymbol(k1, n[0]) * interp.BSplineSymbol(k2, n[1]) * interp.BSplineSymbol(k3, n[2])
 		})
 	}
-	must(o.Plan.ForwardInto(s.Data, o.scal))
-	spec, tab := o.scal, o.bsp
+	spec, tab := o.spec[0], o.bsp
+	must(o.Plan.ForwardInto(s.Data, spec))
 	par.For(len(spec), func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			spec[idx] /= complex(tab[idx], 0)

@@ -28,7 +28,7 @@ type Solver struct {
 
 	// planner builds every interpolation plan of this solver; it owns the
 	// RK2 star-point plan, rebuilt in place per trace, and the scratch the
-	// plans share. EndPlanning drops all of it but the gather scratch.
+	// plans share. EndPlanning drops all of it but one field's gather scratch.
 	planner *semilag.Planner
 }
 
@@ -449,14 +449,16 @@ func (s *Solver) MemoryPerRank() int64 {
 // precision pr on pencil pe, without building one.
 //
 // It counts the transport state of one Newton step and nothing else. Left
-// out, and measured in DESIGN §5c′: the FFT plan's arena (stage buffers,
-// transpose slab, line scratch) and the spectral symbol tables; the
-// optimizer's vectors (Newton iterate, gradient, step, PCG's x, r, p);
-// the planner's gather scratch beyond one padded field (value buffers,
-// halo block, the padded fields of a three-field call); the plans'
-// outputs; and the planner's build-time scratch — coordinates, RK2 star
-// plan, scatter payloads — which lives only from a line search to the
-// next gradient (Solver.EndPlanning).
+// out, and measured in DESIGN §5c′: the FFT plan's arena (three stage
+// buffers, in which the spectral operators also work, the transpose slab
+// and line scratch) and the per-axis wavenumbers; the optimizer's vectors
+// (Newton iterate and gradient, PCG's x, p and residual, which is the only
+// copy of -g); the planner's gather scratch beyond one padded field (one
+// field's value buffers, the halo block, the one output its plans share);
+// and the planner's build-time scratch — coordinates, RK2 star plan,
+// scatter payloads, and the other two padded fields, value buffers and
+// outputs of the star plan's three-field gather — which lives only from a
+// line search to the next gradient (Solver.EndPlanning).
 func MemoryModel(pe *grid.Pencil, nt int, pr prec.Precision) int64 {
 	local := int64(pe.LocalTotal())
 	values := int64(2*nt+5)*local + int64(3*(nt+1))*local
