@@ -194,8 +194,8 @@ func main() {
 	fmt.Printf("time to solution: %.3fs (fft comm %.4fs, fft exec %.4fs, interp comm %.4fs, interp exec %.4fs)\n",
 		ph.TimeToSolution, ph.FFTComm, ph.FFTExec, ph.InterpComm, ph.InterpExec)
 	fmt.Printf("work:             %d 3D FFTs, %d interpolation sweeps\n", res.FFTs, res.InterpSweeps)
-	fmt.Printf("memory:           max live heap %.1f MB over %d collections, VmHWM %s; %s\n",
-		mb(int64(live.max.Load())), live.cycles.Load(), vmHWM(), memoryModel(tmpl.N, cfg, live.max.Load()))
+	fmt.Printf("memory:           max live heap %.1f MB over %d collections, VmHWM %s; %s; wire copies %d B\n",
+		mb(int64(live.max.Load())), live.cycles.Load(), vmHWM(), memoryModel(tmpl.N, cfg, live.max.Load()), res.CopiedBytes)
 
 	if *out != "" {
 		if err := writeResults(*out, res, tmpl, ref); err != nil {

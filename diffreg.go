@@ -261,6 +261,10 @@ type Result struct {
 	// point-to-point traffic (ghost halos plus scattered-value returns).
 	InterpMsgs  int64
 	InterpBytes int64
+	// CopiedBytes counts the payload bytes rank 0's zero-copy exchanges
+	// (pencil transposes, scatter plans, halos, value returns) copied: 0
+	// unless a fault plan flips a bit.
+	CopiedBytes int64
 
 	// History records the outer-iteration convergence trace.
 	History []IterationRecord
@@ -520,6 +524,7 @@ func Register(template, reference Volume, cfg Config) (*Result, error) {
 			res.InterpSweeps = out.Counts.InterpSweeps
 			res.InterpMsgs = out.Counts.InterpMsgs
 			res.InterpBytes = out.Counts.InterpBytes
+			res.CopiedBytes = out.Counts.CopiedBytes
 			for _, h := range out.Result.History {
 				res.History = append(res.History, IterationRecord{
 					Iter: h.Iter, Objective: h.J, Misfit: h.Misfit,

@@ -159,6 +159,10 @@ type Counts struct {
 	// exchanges plus scattered-value returns) on this rank.
 	InterpMsgs  int64
 	InterpBytes int64
+
+	// CopiedBytes counts the payload bytes this rank's zero-copy exchanges
+	// copied (mpi.Stats.CopiedBytes): 0 unless a fault plan flips a bit.
+	CopiedBytes int64
 }
 
 // Outcome is the result of one registration solve on the calling rank.
@@ -459,6 +463,7 @@ func Register(pe *grid.Pencil, rhoT, rhoR *field.Scalar, cfg Config) (*Outcome, 
 		TransposeFields: after.TransposeFields - before.TransposeFields,
 		InterpMsgs:      after.Messages[mpi.PhaseInterpComm] - before.Messages[mpi.PhaseInterpComm],
 		InterpBytes:     after.BytesRecv[mpi.PhaseInterpComm] - before.BytesRecv[mpi.PhaseInterpComm],
+		CopiedBytes:     after.CopiedBytes - before.CopiedBytes,
 	}
 	return out, nil
 }

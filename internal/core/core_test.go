@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"diffreg/internal/ckpt"
@@ -12,6 +14,7 @@ import (
 	"diffreg/internal/pfft"
 	"diffreg/internal/prec"
 	"diffreg/internal/regopt"
+	"diffreg/internal/semilag"
 	"diffreg/internal/spectral"
 )
 
@@ -478,5 +481,51 @@ func TestMapBitIdenticalToFreshContext(t *testing.T) {
 				return nil
 			})
 		}
+	}
+}
+
+// TestWireCopiedBytes: the zero-copy exchanges of a solve copy no payload
+// byte at p ∈ {2, 4} with no fault plan. Under a single bit-flip site on
+// rank 0's second interpolation-phase send — the first halo block of the
+// first padded field, after the scatter plan's one coordinate message at
+// p = 2 — rank 0 copies exactly that message, every other rank nothing,
+// and the run ends in the typed *mpi.CommError.
+func TestWireCopiedBytes(t *testing.T) {
+	for _, p := range []int{2, 4} {
+		runSynthetic(t, 16, p, DefaultConfig(), func(pe *grid.Pencil, out *Outcome) error {
+			if out.Counts.CopiedBytes != 0 || pe.Comm.Stats().CopiedBytes != 0 {
+				t.Errorf("p=%d rank %d: the solve copied %d bytes, the run %d; want 0", p, pe.Comm.Rank(),
+					out.Counts.CopiedBytes, pe.Comm.Stats().CopiedBytes)
+			}
+			return nil
+		})
+	}
+
+	g := grid.MustNew(16, 16, 16)
+	fp := mpi.NewFaultPlan(1).Add(mpi.FaultSite{Rank: 0, Phase: mpi.PhaseInterpComm, Op: mpi.OpSend, Index: 1, Kind: mpi.FaultBitFlip})
+	var want int64
+	stats, err := mpi.RunWith(2, mpi.RunOpts{Faults: fp}, func(c *mpi.Comm) error {
+		pe, err := grid.NewPencil(g, c)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			want = 8 * int64(semilag.NewGhost(pe).MaxBlockLen())
+		}
+		ops := spectral.New(pfft.NewPlanPrec(pe, prec.F64))
+		rhoT := imaging.SyntheticTemplate(pe)
+		rhoR := imaging.MakeReference(ops, rhoT, imaging.SyntheticVelocity(pe), 4, false)
+		_, err = Register(pe, rhoT, rhoR, DefaultConfig())
+		return err
+	})
+	var ce *mpi.CommError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Detail, "checksum") {
+		t.Fatalf("want a checksum *mpi.CommError, got %v", err)
+	}
+	if n := len(fp.Injected()); n != 1 {
+		t.Fatalf("%d sites fired, want 1", n)
+	}
+	if stats[0].CopiedBytes != want || stats[1].CopiedBytes != 0 {
+		t.Errorf("copied %d and %d bytes on ranks 0 and 1, want %d and 0", stats[0].CopiedBytes, stats[1].CopiedBytes, want)
 	}
 }

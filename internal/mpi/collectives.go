@@ -181,32 +181,37 @@ type Elem interface {
 }
 
 // Alltoallv performs a personalized all-to-all exchange on c: send[i] goes
-// to rank i, and the returned slice recv[i] is what rank i sent to us. The
-// element type is the wire format — float64 and complex128 for the
-// reference transposes and exchanges, float32 for the narrow wire, int
-// for plan metadata. Self-exchange is a local copy and is not charged
-// communication cost. It is a package function because Go methods take no
-// type parameters.
-func Alltoallv[T Elem](c *Comm, send [][]T) [][]T {
+// to rank i, and consume(i, part) is called once for every rank i with
+// what rank i sent to us — our own part first, then the others in a
+// rotated order. The element type is the wire format — float64 and
+// complex128 for the reference transposes and exchanges, float32 for the
+// narrow wire, int for plan metadata.
+//
+// Nothing is copied: part is the sender's buffer, lent for the duration of
+// consume, which must not keep it. consume may read part and overwrite it
+// in place; the sender regains its buffers, contents unspecified, when the
+// call returns, which it does only after every rank has consumed its
+// parts. The self part is not charged communication cost. It is a package
+// function because Go methods take no type parameters.
+func Alltoallv[T Elem](c *Comm, send [][]T, consume func(src int, part []T)) {
 	c.stats.Alltoalls++
 	c.collectiveSite()
 	p := c.Size()
 	if len(send) != p {
 		panic("mpi: alltoallv send length != communicator size")
 	}
-	recv := make([][]T, p)
 	// Post all sends first (non-blocking), then receive in a rotated order
 	// to avoid hot-spotting rank 0.
 	for dist := 1; dist < p; dist++ {
 		dest := (c.rank + dist) % p
-		c.Send(dest, tagAlltoall, send[dest])
+		c.send(dest, tagAlltoall, send[dest], true)
 	}
-	self := make([]T, len(send[c.rank]))
-	copy(self, send[c.rank])
-	recv[c.rank] = self
+	consume(c.rank, send[c.rank])
 	for dist := 1; dist < p; dist++ {
 		src := (c.rank - dist + p) % p
-		recv[src] = c.Recv(src, tagAlltoall).([]T)
+		m := c.recv(src, tagAlltoall)
+		consume(src, m.data.([]T))
+		m.release()
 	}
-	return recv
+	c.settle()
 }

@@ -46,13 +46,13 @@ func exchange(c *Comm, phase Phase, round int) error {
 	for d := range send {
 		send[d] = []float64{float64(c.Rank()), float64(d), float64(round)}
 	}
-	recv := Alltoallv(c, send)
-	for src, got := range recv {
+	var bad error
+	Alltoallv(c, send, func(src int, got []float64) {
 		if len(got) != 3 || got[0] != float64(src) || got[1] != float64(c.Rank()) || got[2] != float64(round) {
-			return fmt.Errorf("alltoallv round %d from %d: got %v", round, src, got)
+			bad = fmt.Errorf("alltoallv round %d from %d: got %v", round, src, got)
 		}
-	}
-	return nil
+	})
+	return bad
 }
 
 func TestFaultBitFlipDetected(t *testing.T) {
@@ -69,6 +69,55 @@ func TestFaultBitFlipDetected(t *testing.T) {
 	}
 	if len(fp.Injected()) != 1 {
 		t.Errorf("injected sites = %v, want exactly the registered one", fp.Injected())
+	}
+}
+
+// TestFaultBitFlipLeavesLenderIntact: a bit flip on an Alltoallv payload
+// corrupts the copy the receiver checks, never the buffer the sender lent.
+// The receiver's checksum still raises the typed *CommError, and the
+// sender's stats count the one copied message.
+func TestFaultBitFlipLeavesLenderIntact(t *testing.T) {
+	const p, n = 4, 6
+	fp := NewFaultPlan(7).Add(FaultSite{Rank: 2, Phase: PhaseInterpComm, Op: OpCollective, Index: 0, Kind: FaultBitFlip})
+	sends := make([][][]float64, p)
+	for r := range sends {
+		sends[r] = make([][]float64, p)
+		for d := range sends[r] {
+			sends[r][d] = make([]float64, n)
+			for i := range sends[r][d] {
+				sends[r][d][i] = float64(100*r + 10*d + i)
+			}
+		}
+	}
+	stats, err := runBounded(t, 30*time.Second, p, RunOpts{Faults: fp}, func(c *Comm) error {
+		c.SetPhase(PhaseInterpComm)
+		Alltoallv(c, sends[c.Rank()], func(int, []float64) {})
+		return nil
+	})
+	var ce *CommError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Detail, "checksum") {
+		t.Fatalf("want a checksum *CommError, got %v", err)
+	}
+	if len(fp.Injected()) != 1 {
+		t.Fatalf("injected %v, want the one bit flip", fp.Injected())
+	}
+	for r := range sends {
+		for d, part := range sends[r] {
+			for i, v := range part {
+				if v != float64(100*r+10*d+i) {
+					t.Errorf("rank %d's send part for %d: element %d is %v after the flip", r, d, i, v)
+				}
+			}
+		}
+	}
+	for r, st := range stats {
+		want := int64(0)
+		if r == 2 {
+			want = 8 * n
+		}
+		if st.CopiedBytes != want {
+			t.Errorf("rank %d copied %d bytes, want %d", r, st.CopiedBytes, want)
+		}
 	}
 }
 
@@ -204,7 +253,7 @@ func TestFaultPlanSizeOneComm(t *testing.T) {
 		old := c.SetPhase(PhaseFFTComm)
 		defer c.SetPhase(old)
 		for round := 0; round < 8; round++ {
-			recv := Alltoallv(c, [][]float64{{1, 2, float64(round)}})
+			recv := collect(c, [][]float64{{1, 2, float64(round)}})
 			if len(recv) != 1 || recv[0][2] != float64(round) {
 				return fmt.Errorf("round %d: got %v", round, recv)
 			}
@@ -232,14 +281,14 @@ func TestZeroCountAlltoallv(t *testing.T) {
 			for d := range send {
 				send[d] = []float64{}
 			}
-			recv := Alltoallv(c, send)
+			recv := collect(c, send)
 			for src, got := range recv {
 				if len(got) != 0 {
 					return fmt.Errorf("from %d: got %v, want empty", src, got)
 				}
 			}
 			sendC := make([][]complex128, c.Size())
-			recvC := Alltoallv(c, sendC)
+			recvC := collect(c, sendC)
 			for src, got := range recvC {
 				if len(got) != 0 {
 					return fmt.Errorf("complex from %d: got %v, want empty", src, got)
@@ -452,6 +501,47 @@ func TestAbortWakesBlockedReceiverNoWatchdog(t *testing.T) {
 		})
 		if err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Fatalf("iteration %d: want the rank-0 error, got %v", i, err)
+		}
+	}
+}
+
+// TestReleaseWaitEndsInTypedAbort: a rank waiting for its receivers to
+// release what it lent never hangs. At p = 3, rank 0 drops its message to
+// rank 1, so rank 1 blocks on its first receive; rank 2 has everything it
+// needs and waits at the release of its part for rank 1. Rank 1's watchdog
+// raises the timeout, and the abort wakes rank 2. A rank that stalls at
+// the collective entry ends the same way.
+func TestReleaseWaitEndsInTypedAbort(t *testing.T) {
+	for _, kind := range []FaultKind{FaultDrop, FaultStall} {
+		op := OpSend
+		if kind == FaultStall {
+			op = OpCollective
+		}
+		fp := NewFaultPlan(5).Add(FaultSite{Rank: 0, Phase: PhaseFFTComm, Op: op, Index: 0, Kind: kind})
+		_, err := runBounded(t, 30*time.Second, 3, RunOpts{Faults: fp, Watchdog: 200 * time.Millisecond}, func(c *Comm) error {
+			return exchange(c, PhaseFFTComm, 0)
+		})
+		var ce *CommError
+		if !errors.As(err, &ce) || !strings.Contains(ce.Detail, "timeout") {
+			t.Errorf("%v: want a timeout *CommError, got %v", kind, err)
+		}
+	}
+}
+
+// TestAbortWakesRankAtReleaseNoWatchdog: with no watchdog, a lender
+// waiting at a release wakes when its receiver fails inside consume.
+func TestAbortWakesRankAtReleaseNoWatchdog(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		_, err := runBounded(t, 30*time.Second, 2, RunOpts{}, func(c *Comm) error {
+			Sendrecv(c, 1-c.Rank(), 3, []int{c.Rank()}, 1-c.Rank(), 3, func([]int) {
+				if c.Rank() == 1 {
+					Raise(fmt.Errorf("boom"))
+				}
+			})
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("iteration %d: want the rank-1 error, got %v", i, err)
 		}
 	}
 }

@@ -11,10 +11,15 @@
 // communication columns of the paper's tables can be regenerated from the
 // exact message counts and volumes the algorithms produce.
 //
-// Payloads are slices of the element types in Elem. The one variable-count
-// all-to-all, Alltoallv, is generic over them: float64 and complex128 are
-// the reference wire, float32 the narrow wire of the mixed-precision path,
-// int the plan metadata.
+// Payloads are slices of the element types in Elem. The exchanges of the
+// solver's hot loop — the variable-count all-to-all Alltoallv and the
+// neighbor exchange Sendrecv — are generic over them (float64 and
+// complex128 are the reference wire, float32 the narrow wire of the
+// mixed-precision path, int the plan metadata) and hand payloads off
+// without copying: the receiver reads the sender's buffer in place inside
+// a consume callback, and the sender gets the buffer back at a release
+// that is not a message. Send, SendRecvFloat64 and the small collectives
+// keep value semantics: each receiver owns a copy.
 package mpi
 
 import (
@@ -74,6 +79,10 @@ type message struct {
 	tag    int
 	data   any
 	bytes  int
+	// lender is the sender's mailbox when data is the sender's own buffer,
+	// lent until the receiver has consumed it and calls release; nil when
+	// the receiver owns data.
+	lender *mailbox
 
 	validate bool
 	seq      uint64 // per-(commID, src, tag) stream sequence number, from 1
@@ -81,15 +90,26 @@ type message struct {
 	sum      uint64 // FNV-1a payload checksum computed before injection (0: not validated)
 }
 
+// release hands the payload back to its lender, if it was lent, once the
+// receiver has consumed it.
+func (m message) release() {
+	if m.lender != nil {
+		m.lender.release()
+	}
+}
+
 // streamKey identifies one ordered point-to-point stream at a receiver.
 type streamKey struct{ commID, src, tag int }
 
-// mailbox holds delivered-but-unreceived messages for one world rank.
+// mailbox holds delivered-but-unreceived messages for one world rank, and
+// the count of that rank's lent payloads no receiver has released yet. Only
+// the owning rank waits on cond, for a message or for its releases.
 type mailbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	queue []message
 	seen  map[streamKey]uint64 // highest seq consumed per stream (validation mode)
+	lent  int
 }
 
 func newMailbox() *mailbox {
@@ -103,6 +123,37 @@ func (m *mailbox) put(msg message) {
 	m.queue = append(m.queue, msg)
 	m.mu.Unlock()
 	m.cond.Broadcast()
+}
+
+// release hands a lent payload back to its sender.
+func (m *mailbox) release() {
+	m.mu.Lock()
+	m.lent--
+	if m.lent == 0 {
+		m.cond.Broadcast()
+	}
+	m.mu.Unlock()
+}
+
+// settle blocks until every payload the owner lent has been released. It
+// returns early, like take, when the world aborts or the timeout passes.
+func (m *mailbox) settle(w *World, timeout time.Duration) int {
+	var start time.Time
+	if timeout > 0 {
+		start = time.Now()
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for m.lent > 0 {
+		if w.aborted() {
+			return takeAborted
+		}
+		if timeout > 0 && time.Since(start) > timeout {
+			return takeTimeout
+		}
+		m.cond.Wait()
+	}
+	return takeOK
 }
 
 // take outcomes.
@@ -285,6 +336,12 @@ type Stats struct {
 	// DupsDropped counts stale duplicate deliveries discarded by the
 	// receive-side sequence validation.
 	DupsDropped int64
+	// CopiedBytes counts the payload bytes the hand-off exchanges
+	// (Alltoallv, Sendrecv) copied. They lend payloads in place, so it
+	// stays 0 unless a fault plan's bit flip copies the one message it
+	// mutates. The value-semantics operations copy by contract — each
+	// receiver owns its payload — and are not counted here.
+	CopiedBytes int64
 }
 
 // TotalModeled returns the modeled communication time summed over phases.
@@ -510,7 +567,8 @@ func payloadBytes(data any) int {
 	}
 }
 
-// clonePayload copies slice payloads so sender and receiver never alias.
+// clonePayload copies slice payloads so sender and receiver never alias:
+// the value semantics of Send, and the private copy a bit flip mutates.
 func clonePayload(data any) any {
 	switch d := data.(type) {
 	case []float64:
@@ -538,12 +596,19 @@ func clonePayload(data any) any {
 	}
 }
 
-// Send delivers data to dest (rank within this communicator) with the given
-// tag. Sends are buffered and never block. With validation enabled the
-// message carries an envelope (sequence number, length, checksum) computed
-// before any fault is applied; with a FaultPlan attached, a matching
-// injection site mutates, delays, drops, or duplicates the message.
-func (c *Comm) Send(dest, tag int, data any) {
+// Send delivers a copy of data to dest (rank within this communicator)
+// with the given tag. Sends are buffered and never block. With validation
+// enabled the message carries an envelope (sequence number, length,
+// checksum) computed before any fault is applied; with a FaultPlan
+// attached, a matching injection site mutates, delays, drops, or
+// duplicates the message.
+func (c *Comm) Send(dest, tag int, data any) { c.send(dest, tag, clonePayload(data), false) }
+
+// send posts payload to dest. A lent payload stays the caller's buffer:
+// the receiver reads it in place and releases it, and the caller must
+// settle before it writes the buffer again. A bit flip never mutates a
+// lent buffer; it copies the message first and delivers the copy.
+func (c *Comm) send(dest, tag int, payload any, lend bool) {
 	if dest < 0 || dest >= len(c.group) {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d (size %d)", dest, len(c.group)))
 	}
@@ -551,7 +616,6 @@ func (c *Comm) Send(dest, tag int, data any) {
 	if w.aborted() {
 		c.raiseAbort()
 	}
-	payload := clonePayload(data)
 	msg := message{commID: c.id, src: c.rank, tag: tag}
 	if w.validate {
 		msg.validate = true
@@ -583,6 +647,10 @@ func (c *Comm) Send(dest, tag int, data any) {
 			fp.record(site)
 			dup = true
 		case FaultBitFlip:
+			if lend && payloadLen(payload) > 0 {
+				payload, lend = clonePayload(payload), false
+				c.stats.CopiedBytes += int64(payloadBytes(payload))
+			}
 			if corruptBit(payload, fp.bitFor(site, payloadBytes(payload))) {
 				fp.record(site)
 			}
@@ -595,6 +663,15 @@ func (c *Comm) Send(dest, tag int, data any) {
 	}
 	msg.data = payload
 	msg.bytes = payloadBytes(payload)
+	if lend {
+		// Counted once: of a duplicated message only the first delivery is
+		// consumed, and the stale copy is discarded unread.
+		own := w.boxes[c.WorldRank()]
+		own.mu.Lock()
+		own.lent++
+		own.mu.Unlock()
+		msg.lender = own
+	}
 	box := w.boxes[c.group[dest]]
 	box.put(msg)
 	if dup {
@@ -678,7 +755,11 @@ func (c *Comm) collectiveSite() {
 // on the receiving rank. With validation enabled, a truncated or corrupted
 // payload — and, with a watchdog, a message that never arrives — raises a
 // typed *CommError that aborts the world.
-func (c *Comm) Recv(src, tag int) any {
+func (c *Comm) Recv(src, tag int) any { return c.recv(src, tag).data }
+
+// recv is Recv returning the whole message, so a hand-off receiver can
+// release a lent payload once it has consumed it.
+func (c *Comm) recv(src, tag int) message {
 	if src < 0 || src >= len(c.group) {
 		panic(fmt.Sprintf("mpi: recv from invalid rank %d (size %d)", src, len(c.group)))
 	}
@@ -714,7 +795,38 @@ func (c *Comm) Recv(src, tag int) any {
 		}
 	}
 	c.charge(msg.bytes)
-	return msg.data
+	return msg
+}
+
+// settle blocks until every receiver has released what this rank lent.
+// Like a receive it unwinds when the world aborts and, with a watchdog,
+// raises a timeout *CommError instead of waiting for a stalled peer.
+func (c *Comm) settle() {
+	w := c.world
+	switch w.boxes[c.WorldRank()].settle(w, w.watchdog) {
+	case takeAborted:
+		c.raiseAbort()
+	case takeTimeout:
+		Raise(&CommError{
+			Rank: c.WorldRank(), Phase: c.phase, Op: "release",
+			Detail: fmt.Sprintf("timeout after %v waiting for receivers to release lent payloads (receiver stalled)", w.watchdog),
+		})
+	}
+}
+
+// Sendrecv lends data to dest under sendTag, receives the payload src
+// lends under recvTag and passes it to consume, and returns once dest has
+// consumed data as well: the caller may rewrite data as soon as it
+// returns, and consume must not keep its argument. Neither payload is
+// copied. Every rank of a neighbor exchange calls it together, as with
+// MPI_Sendrecv. It is a package function because Go methods take no type
+// parameters.
+func Sendrecv[T Elem](c *Comm, dest, sendTag int, data []T, src, recvTag int, consume func([]T)) {
+	c.send(dest, sendTag, data, true)
+	m := c.recv(src, recvTag)
+	consume(m.data.([]T))
+	m.release()
+	c.settle()
 }
 
 // charge records one received message of n bytes against the cost model.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 )
 
 func run(t *testing.T, p int, fn func(c *Comm) error) []*Stats {
@@ -151,10 +152,33 @@ func TestAllgather(t *testing.T) {
 // TestAlltoallv: some parts, a rank's own among them, are empty.
 func alltoallvPart(src, dest int) int { return (src + 2*dest + 1) % 4 }
 
+// collect runs one Alltoallv and returns copies of the parts consumed.
+func collect[T Elem](c *Comm, send [][]T) [][]T {
+	recv := make([][]T, c.Size())
+	Alltoallv(c, send, func(src int, part []T) { recv[src] = append([]T(nil), part...) })
+	return recv
+}
+
+// checkPart reports whether part is what rank src sends rank me.
+func checkPart[T Elem](part []T, src, me int, val func(src, dest, i int) T) error {
+	if len(part) != alltoallvPart(src, me) {
+		return fmt.Errorf("from %d: %d elements, want %d", src, len(part), alltoallvPart(src, me))
+	}
+	for i, v := range part {
+		if v != val(src, me, i) {
+			return fmt.Errorf("from %d: element %d is %v, want %v", src, i, v, val(src, me, i))
+		}
+	}
+	return nil
+}
+
 // checkAlltoallv runs one Alltoallv in which rank src sends dest the
-// values val(src, dest, i), with empty parts left nil, and checks what
-// arrives. It then overwrites the send buffer: the self part is a copy,
-// so the received self part must not change.
+// values val(src, dest, i), with empty parts left nil, and checks the
+// hand-off contract: consume sees every source's pre-call data exactly
+// once, and a sender may overwrite its send buffer as soon as the call
+// returns. Odd ranks dawdle inside consume and check the part again after,
+// so a sender that returned before its receivers were done would show as
+// a changed part.
 func checkAlltoallv[T Elem](c *Comm, val func(src, dest, i int) T) error {
 	me := c.Rank()
 	send := make([][]T, c.Size())
@@ -163,18 +187,31 @@ func checkAlltoallv[T Elem](c *Comm, val func(src, dest, i int) T) error {
 			send[dest] = append(send[dest], val(me, dest, i))
 		}
 	}
-	recv := Alltoallv(c, send)
-	for i := range send[me] {
-		send[me][i] = val(-1, -1, -1)
-	}
-	for src, got := range recv {
-		if len(got) != alltoallvPart(src, me) {
-			return fmt.Errorf("from %d: %d elements, want %d", src, len(got), alltoallvPart(src, me))
+	seen := make([]int, c.Size())
+	var err error
+	Alltoallv(c, send, func(src int, part []T) {
+		seen[src]++
+		if e := checkPart(part, src, me, val); e != nil && err == nil {
+			err = e
 		}
-		for i, v := range got {
-			if v != val(src, me, i) {
-				return fmt.Errorf("from %d: element %d is %v, want %v", src, i, v, val(src, me, i))
+		if me%2 == 1 {
+			time.Sleep(time.Millisecond)
+			if e := checkPart(part, src, me, val); e != nil && err == nil {
+				err = fmt.Errorf("after a pause: %v", e)
 			}
+		}
+	})
+	for _, part := range send {
+		for i := range part {
+			part[i] = val(-1, -1, -1)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	for src, n := range seen {
+		if n != 1 {
+			return fmt.Errorf("consumed the part from %d %d times", src, n)
 		}
 	}
 	return nil
@@ -214,7 +251,7 @@ func TestAlltoallvComplex(t *testing.T) {
 		for dest := 0; dest < p; dest++ {
 			send[dest] = []complex128{complex(float64(c.Rank()), float64(dest))}
 		}
-		recv := Alltoallv(c, send)
+		recv := collect(c, send)
 		for src := 0; src < p; src++ {
 			want := complex(float64(src), float64(c.Rank()))
 			if recv[src][0] != want {
@@ -366,7 +403,7 @@ func TestAlltoallvEmptyPayloads(t *testing.T) {
 		if c.Rank() == 0 {
 			send[3] = []float64{42}
 		}
-		recv := Alltoallv(c, send)
+		recv := collect(c, send)
 		if c.Rank() == 3 {
 			if len(recv[0]) != 1 || recv[0][0] != 42 {
 				return fmt.Errorf("rank 3: got %v", recv[0])

@@ -36,7 +36,7 @@ func TestRaceConcurrentWorlds(t *testing.T) {
 					for d := range send {
 						send[d] = []float64{float64(c.Rank()), float64(d), float64(r)}
 					}
-					recv := Alltoallv(c, send)
+					recv := collect(c, send)
 					for src, got := range recv {
 						if got[0] != float64(src) || got[1] != float64(c.Rank()) || got[2] != float64(r) {
 							return fmt.Errorf("world %d round %d: alltoallv from %d got %v", w, r, src, got)
@@ -73,7 +73,7 @@ func TestRaceSplitCollectives(t *testing.T) {
 			for d := range send {
 				send[d] = []complex128{complex(float64(c.Rank()), float64(r))}
 			}
-			recv := Alltoallv(row, send)
+			recv := collect(row, send)
 			for _, got := range recv {
 				if imag(got[0]) != float64(r) {
 					return fmt.Errorf("round %d: stale row payload %v", r, got)
@@ -119,5 +119,86 @@ func TestRacePointToPointFanIn(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRaceAlltoallvReuse runs back-to-back Alltoallv rounds over the same
+// send buffers, rewritten by every rank right after each call returns: the
+// hand-off releases must order every receiver's reads before the sender's
+// next writes, and every round must deliver that round's values.
+func TestRaceAlltoallvReuse(t *testing.T) {
+	const rounds = 50
+	for _, p := range []int{2, 3, 4, 6} {
+		_, err := Run(p, DefaultCostModel(), func(c *Comm) error {
+			me := c.Rank()
+			send := make([][]float64, p)
+			for d := range send {
+				send[d] = make([]float64, 1+(me+d)%3)
+			}
+			fill := func(r int) {
+				for d, part := range send {
+					for i := range part {
+						part[i] = float64(1000*r + 100*me + 10*d + i)
+					}
+				}
+			}
+			fill(0)
+			for r := 0; r < rounds; r++ {
+				var bad error
+				Alltoallv(c, send, func(src int, part []float64) {
+					if len(part) != 1+(src+me)%3 {
+						bad = fmt.Errorf("round %d: %d elements from %d", r, len(part), src)
+						return
+					}
+					for i, v := range part {
+						if want := float64(1000*r + 100*src + 10*me + i); v != want && bad == nil {
+							bad = fmt.Errorf("round %d: element %d from %d is %v, want %v", r, i, src, v, want)
+						}
+					}
+				})
+				if bad != nil {
+					return bad
+				}
+				fill(r + 1)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}
+
+// TestRaceSendrecvReuse is the neighbor exchange's twin of
+// TestRaceAlltoallvReuse: a ring of Sendrecv calls over one buffer per
+// rank, rewritten right after every return.
+func TestRaceSendrecvReuse(t *testing.T) {
+	const rounds = 50
+	for _, p := range []int{2, 3, 4, 6} {
+		_, err := Run(p, DefaultCostModel(), func(c *Comm) error {
+			me := c.Rank()
+			next, prev := (me+1)%p, (me+p-1)%p
+			buf := make([]float32, 5)
+			for r := 0; r < rounds; r++ {
+				for i := range buf {
+					buf[i] = float32(100*r + 10*me + i)
+				}
+				var bad error
+				Sendrecv(c, next, 7, buf, prev, 7, func(in []float32) {
+					for i, v := range in {
+						if want := float32(100*r + 10*prev + i); v != want && bad == nil {
+							bad = fmt.Errorf("round %d: element %d from %d is %v, want %v", r, i, prev, v, want)
+						}
+					}
+				})
+				if bad != nil {
+					return bad
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
 	}
 }

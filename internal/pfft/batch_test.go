@@ -115,34 +115,51 @@ func TestBatchParseval(t *testing.T) {
 	}
 }
 
-// TestRoundTripZeroAllocs gates the plan-owned workspace: after warmup, a
-// forward+inverse round trip through the *Into entry points performs zero
-// heap allocations at one rank (multi-rank runs still allocate inside the
-// in-process all-to-all, which models real MPI buffers anyway).
+// TestRoundTripZeroAllocs gates the plan-owned workspace and the
+// zero-copy transpose: after warmup, a forward+inverse round trip through
+// the *Into entry points performs zero heap allocations at one rank, and
+// at p ∈ {2, 4} and both precisions allocates less than wireAllocSlack
+// bytes per round trip, summed over the ranks — nothing payload-sized.
+// What remains is boxing each lent slice header into the message (24
+// bytes per message) and the worker pool's job records.
 func TestRoundTripZeroAllocs(t *testing.T) {
 	g := grid.MustNew(16, 12, 10)
-	_, err := mpi.Run(1, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
-		pe, err := grid.NewPencil(g, c)
-		if err != nil {
-			return err
+	for _, p := range []int{1, 2, 4} {
+		for _, pr := range []prec.Precision{prec.F64, prec.F32} {
+			_, err := mpi.Run(p, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
+				pe, err := grid.NewPencil(g, c)
+				if err != nil {
+					return err
+				}
+				pl := NewPlanPrec(pe, pr)
+				src := batchFields(pe, 1)[0]
+				spec := make([]complex128, pl.SpecLocalTotal())
+				back := make([]float64, pe.LocalTotal())
+				roundTrip := func() {
+					mustNil(pl.ForwardInto(src, spec))
+					mustNil(pl.InverseInto(spec, back))
+				}
+				roundTrip() // warm the workspace
+				if p == 1 {
+					if allocs := testing.AllocsPerRun(10, roundTrip); allocs != 0 {
+						t.Errorf("%v: round trip allocates %v times per run, want 0", pr, allocs)
+					}
+					return nil
+				}
+				roundTrip()
+				allocs, bytes := wireAllocs(c, 10, roundTrip)
+				if c.Rank() == 0 {
+					t.Logf("p=%d %v: %.1f allocations, %.0f bytes per round trip over all ranks", p, pr, allocs, bytes)
+					if bytes >= wireAllocSlack {
+						t.Errorf("p=%d %v: a round trip allocates %.0f bytes over all ranks, want < %d", p, pr, bytes, wireAllocSlack)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-		pl := NewPlanPrec(pe, prec.F64)
-		src := batchFields(pe, 1)[0]
-		spec := make([]complex128, pl.SpecLocalTotal())
-		back := make([]float64, pe.LocalTotal())
-		mustNil(pl.ForwardInto(src, spec)) // warm the workspace
-		mustNil(pl.InverseInto(spec, back))
-		allocs := testing.AllocsPerRun(10, func() {
-			mustNil(pl.ForwardInto(src, spec))
-			mustNil(pl.InverseInto(spec, back))
-		})
-		if allocs != 0 {
-			t.Errorf("round trip allocates %v times per run, want 0", allocs)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

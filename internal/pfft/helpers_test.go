@@ -2,6 +2,7 @@ package pfft
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"diffreg/internal/grid"
@@ -105,4 +106,30 @@ func TestEntryPointErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// wireAllocSlack bounds the bytes a warmed multi-rank call may allocate,
+// summed over the ranks: a few message headers, nothing payload-sized.
+const wireAllocSlack = 4096
+
+// wireAllocs runs fn n times on every rank of c and returns the heap
+// allocations and bytes per run, summed over the ranks (the heap is the
+// process's). Every rank must call it together; the counts are read on
+// rank 0 between barriers.
+func wireAllocs(c *mpi.Comm, n int, fn func()) (allocs, bytes float64) {
+	var before, after runtime.MemStats
+	c.Barrier()
+	if c.Rank() == 0 {
+		runtime.ReadMemStats(&before)
+	}
+	c.Barrier()
+	for i := 0; i < n; i++ {
+		fn()
+	}
+	c.Barrier()
+	if c.Rank() == 0 {
+		runtime.ReadMemStats(&after)
+	}
+	c.Barrier()
+	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }

@@ -630,26 +630,26 @@ func (w *wire[W]) transpose(pl *Plan, c *mpi.Comm, src, dst [][]complex128, dims
 		}
 		w.send[t] = part
 	}
-	recv := mpi.Alltoallv(c, w.send[:q])
 
 	myLoS, myHiS := grid.Share(dims[s], q, c.Rank())
 	newDims := dims
 	newDims[u] = gu
 	newDims[s] = myHiS - myLoS
-	for r := 0; r < q; r++ {
+	// Each source's block is decoded straight out of its slab.
+	mpi.Alltoallv(c, w.send[:q], func(r int, part []W) {
 		loU, hiU := grid.Share(gu, q, r)
 		blk := newDims
 		blk[u] = hiU - loU
 		off := [3]int{}
 		off[u] = loU
 		n := w.width * blk[0] * blk[1] * blk[2]
-		if len(recv[r]) != B*n {
-			invariant("transpose payload from source %d: %d wire elements, want %d (%d per coefficient, B=%d, block %v)", r, len(recv[r]), B*n, w.width, B, blk)
+		if len(part) != B*n {
+			invariant("transpose payload from source %d: %d wire elements, want %d (%d per coefficient, B=%d, block %v)", r, len(part), B*n, w.width, B, blk)
 		}
 		for b := 0; b < B; b++ {
-			w.unpack(dst[b], newDims, off, blk, recv[r][b*n:(b+1)*n])
+			w.unpack(dst[b], newDims, off, blk, part[b*n:(b+1)*n])
 		}
-	}
+	})
 	return newDims
 }
 

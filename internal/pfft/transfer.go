@@ -75,22 +75,25 @@ func TransferSpectrumBatch(src, dst *Plan, specs [][]complex128) [][]complex128 
 		sendIdx[owner] = append(sendIdx[owner], local)
 	})
 
-	old := c.SetPhase(mpi.PhaseFFTComm)
-	recvVals := mpi.Alltoallv(c, sendVals)
-	recvIdx := mpi.Alltoallv(c, sendIdx)
-	c.SetPhase(old)
-
+	// The values arrive before the indices that place them, so they are
+	// kept until the second exchange.
 	outs := make([][]complex128, B)
 	for b := range outs {
 		outs[b] = make([]complex128, dst.SpecLocalTotal())
 	}
-	for r := 0; r < p; r++ {
-		for i, idx := range recvIdx[r] {
+	recvVals := make([][]complex128, p)
+	old := c.SetPhase(mpi.PhaseFFTComm)
+	mpi.Alltoallv(c, sendVals, func(r int, vals []complex128) {
+		recvVals[r] = append([]complex128(nil), vals...)
+	})
+	mpi.Alltoallv(c, sendIdx, func(r int, idxs []int) {
+		for i, idx := range idxs {
 			for b := 0; b < B; b++ {
 				outs[b][idx] = recvVals[r][B*i+b]
 			}
 		}
-	}
+	})
+	c.SetPhase(old)
 	return outs
 }
 

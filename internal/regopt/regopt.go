@@ -404,15 +404,16 @@ func (p *Problem) accumulateB(lams [][]float64, gradRho [][3][]float64) *field.V
 // the lambda term of (5c) are dropped, as in the paper's experiments.
 func (p *Problem) HessMatVec(e *Eval, vt *field.Vector) *field.Vector {
 	p.Matvecs++
-	incStates := p.TS.IncState(e.Ctx, e.GradRho, vt)
-	term := p.Opt.dist().IncTerminal(p.rho1Of(e.States), p.RhoR, incStates[p.Opt.Nt])
-
 	var bt *field.Vector
 	if p.Opt.GaussNewton {
-		// Nothing reads rho~ past its terminal value, so its trajectory
-		// is garbage before the incremental adjoint allocates its own.
+		// Nothing reads rho~ but its terminal value, so it is stepped
+		// through two slices, not held as a trajectory.
+		inc1 := p.TS.IncStateFinal(e.Ctx, e.GradRho, vt)
+		term := p.Opt.dist().IncTerminal(p.rho1Of(e.States), p.RhoR, inc1)
 		bt = p.accumulateB(p.TS.IncAdjointGN(e.Ctx, term), e.GradRho)
 	} else {
+		incStates := p.TS.IncState(e.Ctx, e.GradRho, vt)
+		term := p.Opt.dist().IncTerminal(p.rho1Of(e.States), p.RhoR, incStates[p.Opt.Nt])
 		lamsT := p.TS.IncAdjointNewton(e.Ctx, e.Lambdas, vt, term)
 		bt = p.accumulateB(lamsT, e.GradRho)
 		// Full Newton: b~ also carries int lam grad(rho~) dt.

@@ -202,8 +202,8 @@ func (sp *SeriesProblem) HessMatVec(vts field.Series) field.Series {
 		panic("regopt: series HessMatVec before EvalGradient")
 	}
 	p.Matvecs++
-	incStates := p.TS.IncStateSeries(e.SC, e.GradRho, vts)
-	term := p.Opt.dist().IncTerminal(p.rho1Of(e.States), p.RhoR, incStates[p.Opt.Nt])
+	inc1 := p.TS.IncStateSeriesFinal(e.SC, e.GradRho, vts)
+	term := p.Opt.dist().IncTerminal(p.rho1Of(e.States), p.RhoR, inc1)
 	lamsT := p.TS.IncAdjointGNSeries(e.SC, term)
 
 	h := make(field.Series, sp.NC)

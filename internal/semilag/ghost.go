@@ -171,11 +171,12 @@ func Pad[T interp.Float](g *Ghost, f []float64) []T {
 
 // PadInto fills dst (length PaddedLen) with the halo-padded field, staging
 // neighbor-exchange payloads in blk (length at least MaxBlockLen). It is
-// the allocation-free core of Pad: with a plan-owned dst and blk the only
-// allocations left are the receive buffers the MPI layer hands back. At
-// float32 the field narrows once, on the copies out of f, and the halo
-// layers travel the same neighbor-exchange pattern (same tags, same cost
-// structure) at half the bytes.
+// the allocation-free core of Pad: each halo block is lent to the
+// neighbor, which places it straight out of blk, so with a plan-owned dst
+// and blk nothing payload-sized is allocated. At float32 the field narrows
+// once, on the copies out of f, and the halo layers travel the same
+// neighbor-exchange pattern (same tags, same cost structure) at half the
+// bytes.
 func PadInto[T interp.Float](g *Ghost, dst []T, f []float64, blk []T) {
 	pe := g.Pe
 	const G = GhostWidth
@@ -208,12 +209,10 @@ func PadInto[T interp.Float](g *Ghost, dst []T, f []float64, blk []T) {
 		col := pe.Col
 		up := (pe.Coord[0] + 1) % p1
 		down := (pe.Coord[0] - 1 + p1) % p1
-		rowBlockInto(g, blk[:rb], f, n1-G)
-		col.Send(up, tagRowUp, blk[:rb]) // my top rows -> their low ghosts
-		rowBlockInto(g, blk[:rb], f, 0)
-		col.Send(down, tagRowDown, blk[:rb]) // my bottom rows -> their high ghosts
-		placeRows(g, dst, 0, col.Recv(down, tagRowUp).([]T))
-		placeRows(g, dst, n1+G, col.Recv(up, tagRowDown).([]T))
+		rowBlockInto(g, blk[:rb], f, n1-G) // my top rows -> their low ghosts
+		mpi.Sendrecv(col, up, tagRowUp, blk[:rb], down, tagRowUp, func(in []T) { placeRows(g, dst, 0, in) })
+		rowBlockInto(g, blk[:rb], f, 0) // my bottom rows -> their high ghosts
+		mpi.Sendrecv(col, down, tagRowDown, blk[:rb], up, tagRowDown, func(in []T) { placeRows(g, dst, n1+G, in) })
 	}
 
 	// Phase B: exchange slabs along dimension 1 within the row
@@ -228,11 +227,9 @@ func PadInto[T interp.Float](g *Ghost, dst []T, f []float64, blk []T) {
 		row := pe.Row
 		right := (pe.Coord[1] + 1) % p2
 		left := (pe.Coord[1] - 1 + p2) % p2
-		colBlockInto(g, blk[:cb], dst, n2)
-		row.Send(right, tagColRight, blk[:cb]) // my rightmost owned columns
-		colBlockInto(g, blk[:cb], dst, G)
-		row.Send(left, tagColLeft, blk[:cb]) // my leftmost owned columns
-		placeCols(g, dst, 0, row.Recv(left, tagColRight).([]T))
-		placeCols(g, dst, n2+G, row.Recv(right, tagColLeft).([]T))
+		colBlockInto(g, blk[:cb], dst, n2) // my rightmost owned columns
+		mpi.Sendrecv(row, right, tagColRight, blk[:cb], left, tagColRight, func(in []T) { placeCols(g, dst, 0, in) })
+		colBlockInto(g, blk[:cb], dst, G) // my leftmost owned columns
+		mpi.Sendrecv(row, left, tagColLeft, blk[:cb], right, tagColLeft, func(in []T) { placeCols(g, dst, n2+G, in) })
 	}
 }

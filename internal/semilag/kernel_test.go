@@ -128,7 +128,8 @@ func refInterp(pe *grid.Pencil, pts [3][]float64, f []float64, pr prec.Precision
 		slots[r] = append(slots[r], q)
 		send[r] = append(send[r], x1, x2, x3)
 	}
-	recv := mpi.Alltoallv(pe.Comm, send)
+	recv := make([][]float64, p)
+	mpi.Alltoallv(pe.Comm, send, func(r int, xs []float64) { recv[r] = append([]float64(nil), xs...) })
 	vals := make([][]float64, p)
 	var pad64 []float64
 	var pad32 []float32
@@ -147,13 +148,12 @@ func refInterp(pe *grid.Pencil, pts [3][]float64, f []float64, pr prec.Precision
 			}
 		}
 	}
-	back := mpi.Alltoallv(pe.Comm, vals)
 	out := make([]float64, len(pts[0]))
-	for r := range back {
+	mpi.Alltoallv(pe.Comm, vals, func(r int, back []float64) {
 		for k, q := range slots[r] {
-			out[q] = back[r][k]
+			out[q] = back[k]
 		}
-	}
+	})
 	return out
 }
 
@@ -277,10 +277,10 @@ func TestPlanResetMatchesFreshPlan(t *testing.T) {
 
 // TestPlanBuildAllocBudget gates the O(n) scatter's storage discipline at
 // one rank: once a planner's scratch has grown, rebuilding the star plan in
-// place allocates nothing but the exchange's receive buffer (the in-process
-// Alltoallv hands back a copy of the 24-byte-per-point payload), and a new
-// plan allocates only what it keeps — PlanBytesPerPoint per point — on top
-// of that. No append growth, no sort scratch.
+// place allocates nothing payload-sized (the Alltoallv lends the
+// coordinates, which the plan orders in place), and a new plan allocates
+// only what it keeps — PlanBytesPerPoint per point. No append growth, no
+// sort scratch.
 func TestPlanBuildAllocBudget(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	g := grid.MustNew(12, 10, 8)
@@ -300,17 +300,17 @@ func TestPlanBuildAllocBudget(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			return testing.AllocsPerRun(5, fn), after.TotalAlloc - before.TotalAlloc
 		}
-		// Slice headers, the receive table, the pooled closure, and the
-		// allocator's size-class rounding of the few large arrays.
+		// Slice headers, the pooled closure, and the allocator's
+		// size-class rounding of the few large arrays.
 		const slack = 8192
 		allocs, bytes := measure(func() { plan.Reset(pts) })
-		if allocs > 4 || bytes > 24*nq+slack {
-			t.Errorf("Reset on a warm plan: %v allocs, %d bytes; budget 4 allocs, %d bytes", allocs, bytes, 24*nq+slack)
+		if allocs > 2 || bytes > slack {
+			t.Errorf("Reset on a warm plan: %v allocs, %d bytes; budget 2 allocs, %d bytes", allocs, bytes, slack)
 		}
 		allocs, bytes = measure(func() { plan = pn.NewPlan(pts) })
-		if allocs > 16 || bytes > (24+PlanBytesPerPoint)*nq+slack {
-			t.Errorf("NewPlan on a warm planner: %v allocs, %d bytes; budget 16 allocs, %d bytes",
-				allocs, bytes, (24+PlanBytesPerPoint)*nq+slack)
+		if allocs > 12 || bytes > PlanBytesPerPoint*nq+slack {
+			t.Errorf("NewPlan on a warm planner: %v allocs, %d bytes; budget 12 allocs, %d bytes",
+				allocs, bytes, PlanBytesPerPoint*nq+slack)
 		}
 		return nil
 	})

@@ -391,15 +391,12 @@ func (pl *Plan) Reset(pts [3][]float64) {
 	}
 
 	old := pe.Comm.SetPhase(mpi.PhaseInterpComm)
-	recv := mpi.Alltoallv(pe.Comm, scr.sendPts)
+	mpi.Alltoallv(pe.Comm, scr.sendPts, func(r int, raw []float64) { pl.order(r, raw, scr) })
 	pe.Comm.SetPhase(old)
-	for r, raw := range recv {
-		pl.order(r, raw, scr)
-	}
 }
 
-// order turns the coordinates received from rank r (arrival order, owned
-// by the plan after the exchange) into the plan's sorted stencil arrays.
+// order turns the coordinates received from rank r (arrival order, lent by
+// the exchange and overwritten here) into the plan's sorted stencil arrays.
 // The sort key is the padded-array offset of the stencil's base cell, which
 // is bounded by the padded length — one counting sort, no comparisons.
 func (pl *Plan) order(r int, raw []float64, scr *buildScratch) {
@@ -508,27 +505,27 @@ func interpMany[T interp.Float](pl *Plan, g *gatherScratch[T], fields [][]float6
 	t0 := time.Now()
 	g.gather(pl, pads, vals)
 	pe.Comm.AddExec(mpi.PhaseInterpExec, time.Since(t0).Seconds())
-	// Return the values to the ranks that asked for them. A size-1
-	// communicator owns every value already, so the (allocating) self-copy
-	// collective is skipped.
-	back := vals
-	if p > 1 {
-		old := pe.Comm.SetPhase(mpi.PhaseInterpComm)
-		back = mpi.Alltoallv(pe.Comm, vals)
-		pe.Comm.SetPhase(old)
-	}
-
+	// Return the values to the ranks that asked for them, scattered into
+	// the outputs straight out of the owners' value buffers. A size-1
+	// communicator owns every value already, so it skips the collective.
 	outs := pl.outsFor(nf)
-	for r := 0; r < p; r++ {
+	scatter := func(r int, back []T) {
 		idx := pl.sendIdx[r]
 		npts := len(idx)
 		for fi := 0; fi < nf; fi++ {
-			seg := back[r][fi*npts : (fi+1)*npts]
+			seg := back[fi*npts : (fi+1)*npts]
 			for j, slot := range idx {
 				outs[fi][slot] = float64(seg[j])
 			}
 		}
 	}
+	if p == 1 {
+		scatter(0, vals[0])
+		return outs
+	}
+	old := pe.Comm.SetPhase(mpi.PhaseInterpComm)
+	mpi.Alltoallv(pe.Comm, vals, scatter)
+	pe.Comm.SetPhase(old)
 	return outs
 }
 

@@ -150,3 +150,61 @@ func TestFoldedStepsMatchUnfolded(t *testing.T) {
 		}
 	}
 }
+
+// TestIncStateFinalBitIdentical: the two-slice IncStateFinal and
+// IncStateSeriesFinal return the terminal slice of IncState and
+// IncStateSeries bit for bit, at both parities of nt (the survivor's slot
+// is nt%2), both precisions and p ∈ {1, 4}.
+func TestIncStateFinalBitIdentical(t *testing.T) {
+	g := grid.MustNew(12, 10, 8)
+	for _, pr := range []prec.Precision{prec.F64, prec.F32} {
+		for _, p := range []int{1, 4} {
+			for _, nt := range []int{3, 4} {
+				_, err := mpi.Run(p, mpi.DefaultCostModel(), func(c *mpi.Comm) error {
+					pe, err := grid.NewPencil(g, c)
+					if err != nil {
+						return err
+					}
+					s := NewSolver(spectral.New(pfft.NewPlanPrec(pe, pr)), nt)
+					v, w, vt := field.NewVector(pe), field.NewVector(pe), field.NewVector(pe)
+					v.SetFunc(func(x1, x2, x3 float64) (float64, float64, float64) {
+						return 0.3 * math.Sin(x2) * math.Cos(x1), 0.2 * math.Cos(x3), 0.25 * math.Sin(x1+x3)
+					})
+					w.SetFunc(func(x1, x2, x3 float64) (float64, float64, float64) {
+						return -0.2 * math.Cos(x3), 0.3 * math.Sin(x1), 0.1 * math.Sin(x2+x1)
+					})
+					vt.SetFunc(func(x1, x2, x3 float64) (float64, float64, float64) {
+						return 0.1 * math.Cos(x2), -0.2 * math.Sin(x1), 0.15 * math.Cos(x3)
+					})
+					rho := field.NewScalar(pe)
+					rho.SetFunc(smoothBlob)
+					same := func(what string, got, want []float64) {
+						for i := range want {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Errorf("%v p=%d nt=%d: %s differs at %d: %v vs %v", pr, p, nt, what, i, got[i], want[i])
+								return
+							}
+						}
+					}
+					ctx := s.NewContext(v, false)
+					grads := s.GradSlices(s.State(ctx, rho))
+					same("IncStateFinal", s.IncStateFinal(ctx, grads, vt), s.IncState(ctx, grads, vt)[nt])
+					vs, vts := field.Series{v, w}, field.Series{vt, w}
+					if nt%2 == 1 {
+						vs, vts = append(vs, v), append(vts, vt)
+					}
+					sc, err := s.NewSeriesContext(vs, false)
+					if err != nil {
+						return err
+					}
+					sgrads := s.GradSlices(s.StateSeries(sc, rho))
+					same("IncStateSeriesFinal", s.IncStateSeriesFinal(sc, sgrads, vts), s.IncStateSeries(sc, sgrads, vts)[nt])
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}

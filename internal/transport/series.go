@@ -63,7 +63,18 @@ func (s *Solver) AdjointSeries(sc *SeriesContext, lamT *field.Scalar) [][]float6
 // time-varying velocity and perturbation series vts (one perturbation per
 // interval): d_t rho~ + v_c . grad rho~ = -v~_c . grad rho(t) on interval c.
 func (s *Solver) IncStateSeries(sc *SeriesContext, gradRho [][3][]float64, vts field.Series) [][]float64 {
-	return s.incState(gradRho, func(j int) (*Context, *field.Vector) { return sc.ctxAt(j), vts[sc.Interval(j)] })
+	return s.incState(gradRho, sc.incAt(vts), true)
+}
+
+// IncStateSeriesFinal is IncStateSeries returning only rho~(1), stepped
+// through two rolling slices like IncStateFinal.
+func (s *Solver) IncStateSeriesFinal(sc *SeriesContext, gradRho [][3][]float64, vts field.Series) []float64 {
+	return s.incState(gradRho, sc.incAt(vts), false)[s.Nt%2]
+}
+
+// incAt gives the context and perturbation of the series step from t_j.
+func (sc *SeriesContext) incAt(vts field.Series) func(j int) (*Context, *field.Vector) {
+	return func(j int) (*Context, *field.Vector) { return sc.ctxAt(j), vts[sc.Interval(j)] }
 }
 
 // IncAdjointGNSeries solves the Gauss-Newton incremental adjoint backward

@@ -230,24 +230,43 @@ func (s *Solver) GradSlices(states [][]float64) [][3][]float64 {
 // GradSlices, and with the source folded into the transported field: one
 // scalar interpolation per step.
 func (s *Solver) IncState(ctx *Context, gradRho [][3][]float64, vt *field.Vector) [][]float64 {
-	return s.incState(gradRho, func(int) (*Context, *field.Vector) { return ctx, vt })
+	return s.incState(gradRho, func(int) (*Context, *field.Vector) { return ctx, vt }, true)
+}
+
+// IncStateFinal is IncState returning only rho~(1), bit for bit: the
+// Gauss-Newton matvec reads nothing else, so it steps through two rolling
+// slices instead of holding the trajectory.
+func (s *Solver) IncStateFinal(ctx *Context, gradRho [][3][]float64, vt *field.Vector) []float64 {
+	out := s.incState(gradRho, func(int) (*Context, *field.Vector) { return ctx, vt }, false)
+	return out[s.Nt%2]
 }
 
 // incState is the step loop of IncState and IncStateSeries; at(j) gives
 // the context and perturbation governing the step from t_j to t_{j+1}.
+// With full unset it holds two slices, stepping from out[j%2] to
+// out[(j+1)%2], so only rho~(1) survives, in out[Nt%2]; every step writes
+// all of its target before reading it, so the bits are those of the full
+// trajectory.
 // The source f = -v~ . grad rho(t) does not depend on rho~, so the RK2
 // step of scheme (7) needs no predictor; the interpolant is linear,
 // I(rho~_j) + dt/2 I(f_j) = I(rho~_j + dt/2 f_j), so the step
 // rho~_{j+1} = I(rho~_j + dt/2 f_j) + dt/2 f_{j+1} takes one sweep, not
 // two.
-func (s *Solver) incState(gradRho [][3][]float64, at func(j int) (*Context, *field.Vector)) [][]float64 {
+func (s *Solver) incState(gradRho [][3][]float64, at func(j int) (*Context, *field.Vector), full bool) [][]float64 {
 	half := 0.5 * s.Dt()
-	out := s.trajectory() // zero initial condition (the slab is zeroed)
+	var out [][]float64 // zero initial condition (the slabs are zeroed)
+	if full {
+		out = s.trajectory()
+	} else {
+		n := s.Pe.LocalTotal()
+		slab := make([]float64, 2*n)
+		out = [][]float64{slab[:n], slab[n:]}
+	}
 	for j := 0; j < s.Nt; j++ {
 		ctx, vt := at(j)
 		v0, v1, v2 := vt.C[0].Data, vt.C[1].Data, vt.C[2].Data
 		g0, g1 := gradRho[j], gradRho[j+1]
-		cur, next := out[j], out[j+1]
+		cur, next := out[j%len(out)], out[(j+1)%len(out)]
 		// next stages the folded field; Interp returns plan scratch, so
 		// next is free to receive the step's result.
 		for i := range next {
